@@ -54,11 +54,6 @@ class FadingRealization:
                 gains[pair] = complex(re, im) / np.sqrt(2.0)
         return cls(gains=gains)
 
-    def perturbed(self, pair, factor=1.001 + 0.002j):
-        g = dict(self.gains)
-        g[pair] = g[pair] * factor
-        return FadingRealization(gains=g)
-
 
 @dataclass
 class TransferModel:
@@ -388,30 +383,28 @@ def extract_blocks(model: TransferModel, tol_scale: float = 1e-10):
 
     Returns (h_diag, h_rest, independent): h_diag keeps only each row's
     thread entry, h_rest the others. ``independent`` is True when no
-    single edge gain feeds both parts, established by re-running the
-    propagation with each edge perturbed in turn and watching which
-    entries move.
+    single edge gain feeds both parts, established by running one
+    compiled program with each edge gain perturbed in turn and watching
+    which entries move.
     """
     cert = structure_certificate(model, tol_scale=tol_scale)
     if cert.kind == "none":
         raise PropagationError("channel has no triangular structure")
     h = model.h
-    h_diag = np.zeros_like(h)
-    for r, c in enumerate(cert.main_columns):
-        h_diag[r, c] = h[r, c]
+    diag_mask = np.zeros(h.shape, dtype=bool)
+    diag_mask[np.arange(h.shape[0]), list(cert.main_columns)] = True
+    h_diag = np.where(diag_mask, h, 0)
     h_rest = h - h_diag
 
     independent = True
     if np.abs(h_rest).max() > 0 and model.net is not None:
-        diag_mask = np.zeros(h.shape, dtype=bool)
-        for r, c in enumerate(cert.main_columns):
-            diag_mask[r, c] = True
         scale = np.abs(h).max()
-        for pair in sorted(model.net.edge_set):
-            h2 = propagate(model.net, model.sched,
-                           model.fading.perturbed(pair),
-                           cycles=model.n_cycles).h
-            moved = np.abs(h2 - h) > 1e-6 * scale
+        prog = PropagationProgram(model.net, model.sched, model.n_cycles)
+        base = prog.gain_vector(model.fading)
+        for i in range(prog.n_edges):
+            gains = base.copy()
+            gains[i] *= 1.001 + 0.002j
+            moved = np.abs(prog.run(gains)[0][0] - h) > 1e-6 * scale
             if (moved & diag_mask).any() and (moved & ~diag_mask).any():
                 independent = False
                 break

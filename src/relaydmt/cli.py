@@ -257,20 +257,19 @@ def cmd_analyze(args, params):
           f"d reaches 0 at r = {fam.achievable.max_multiplexing}, {gap}")
     for note in fam.notes:
         print(f"  note: {note}")
+    curves = {"achievable": curve_rows(fam.achievable),
+              "cutset": curve_rows(fam.cutset)}
     if args.format == "json":
         _write(args.out, _json_text({
             "family": fam.label,
             "tight": fam.tight,
             "notes": list(fam.notes),
-            "achievable": [[r, d] for r, d in curve_rows(fam.achievable)],
-            "cutset": [[r, d] for r, d in curve_rows(fam.cutset)],
+            **{name: [list(p) for p in pts] for name, pts in curves.items()},
         }))
     else:
-        rows = [["achievable", repr(r), repr(d)]
-                for r, d in curve_rows(fam.achievable)]
-        rows += [["cutset", repr(r), repr(d)]
-                 for r, d in curve_rows(fam.cutset)]
-        _write(args.out, _csv_text(["curve", "multiplexing", "diversity"], rows))
+        _write(args.out, _csv_text(
+            ["curve", "multiplexing", "diversity"],
+            [[name, r, d] for name, pts in curves.items() for r, d in pts]))
     print(f"wrote {args.out}")
     return OK
 
@@ -282,16 +281,21 @@ def _sweep(args, params):
     return net, sched, plan, outage_sweep(net, sched, plan)
 
 
-def _point_rows(result):
-    plan = result.plan
-    rows = []
-    for db in plan.snr_db:
-        for r in plan.rates:
+_POINT_FIELDS = ["rho_db", "r", "trials", "outages", "p_out", "ci"]
+
+
+def _points(result):
+    """One record per (SNR, rate) cell, for both the JSON and CSV output;
+    floats print as their repr either way."""
+    points = []
+    for db in result.plan.snr_db:
+        for r in result.plan.rates:
             e = result.estimate(db, r)
             lo, hi = e.wilson()
-            rows.append([repr(float(db)), repr(float(r)), e.trials,
-                         e.outages, repr(e.prob), repr((hi - lo) / 2)])
-    return rows
+            points.append(dict(zip(_POINT_FIELDS, (
+                float(db), float(r), e.trials, e.outages, e.prob,
+                (hi - lo) / 2))))
+    return points
 
 
 def _slope_obj(fit):
@@ -327,22 +331,13 @@ def cmd_simulate(args, params):
             },
             "n_symbols": result.n_symbols,
             "total_slots": result.total_slots,
-            "points": [
-                {"rho_db": float(db), "r": float(r),
-                 "trials": result.estimate(db, r).trials,
-                 "outages": result.estimate(db, r).outages,
-                 "p_out": result.estimate(db, r).prob,
-                 "ci": (lambda lo_hi: (lo_hi[1] - lo_hi[0]) / 2)(
-                     result.estimate(db, r).wilson())}
-                for db in plan.snr_db for r in plan.rates
-            ],
+            "points": _points(result),
             "slopes": {str(r): _slope_obj(result.slopes[r])
                        for r in plan.rates},
         }))
     else:
         _write(args.out, _csv_text(
-            ["rho_db", "r", "trials", "outages", "p_out", "ci"],
-            _point_rows(result)))
+            _POINT_FIELDS, [list(p.values()) for p in _points(result)]))
     print(f"wrote {args.out}")
     return OK
 
@@ -379,13 +374,8 @@ def cmd_compare(args, params):
                 "rows": [dict(zip(header, row)) for row in rows],
             }))
         else:
-            _write(args.out, _csv_text(
-                header,
-                [[repr(float(r)), repr(a),
-                  "" if s is None else repr(s),
-                  "" if g is None else repr(g),
-                  "" if u is None else repr(u), w]
-                 for r, a, s, g, u, w in rows]))
+            # csv writes None as an empty field and floats as their repr
+            _write(args.out, _csv_text(header, rows))
         print(f"wrote {args.out}")
     return OK
 

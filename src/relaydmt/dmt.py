@@ -287,8 +287,9 @@ def family_dmt(net: Network) -> FamilyAnalysis:
         curve = linear_curve(K)
         notes = ()
         if tag == "regular":
-            notes = ("achievability follows the K-path schedule; see the "
-                     "README for the K-versus-hop-count caveat",)
+            notes = ("achievability follows the K-path coloring: K symbols "
+                     "per K-slot cycle at any hop count, which only delays "
+                     "start-up",)
         return FamilyAnalysis(cls.label, curve, curve, True, notes)
 
     if tag == "KPP(D)":

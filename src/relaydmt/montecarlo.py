@@ -161,6 +161,53 @@ def _batched_whitened_sv(h, g):
     return np.linalg.svd(np.linalg.solve(L, h), compute_uv=False)
 
 
+def _identity_sv(h, g):
+    return np.linalg.svd(h, compute_uv=False)
+
+
+def _sweep_arms(sched: Schedule, plan: SimPlan, arms) -> list:
+    """Score every arm on one seeded stream of fading draws.
+
+    An arm is ``(program, columns, spectra)``: the program runs once per
+    batch on the shared draw, restricted to ``columns`` (the rows of the
+    draw it reads, or None for all of them), and each spectrum maps the
+    batch's (h, g) to the singular values that score it. Returns one
+    SweepResult per (arm, spectrum), in order.
+    """
+    n_edges = arms[0][0].n_edges
+    tallies = []                  # per arm: thresholds, counts per spectrum
+    for prog, _, spectra in arms:
+        thr = _thresholds(plan, sched, len(prog.kept_rows))
+        tallies.append((thr, [dict.fromkeys(thr, 0) for _ in spectra]))
+
+    children = np.random.SeedSequence(plan.seed).spawn(
+        -(-plan.trials // plan.batch))
+    for k, child in enumerate(children):
+        b = min(plan.batch, plan.trials - k * plan.batch)
+        rng = np.random.default_rng(child)
+        gains = _draw_gains(rng, n_edges, plan.batch)[:, :b]
+        for (prog, cols, spectra), (thr, counts) in zip(arms, tallies):
+            h, g = prog.run(gains if cols is None else gains[cols])
+            for spectrum, count in zip(spectra, counts):
+                sv2 = spectrum(h, g) ** 2
+                for db in plan.snr_db:
+                    bits = np.log2(1.0 + 10.0 ** (db / 10.0) * sv2).sum(axis=1)
+                    for r in plan.rates:
+                        count[(db, r)] += int((bits < thr[(db, r)]).sum())
+
+    results = []
+    for (prog, _, _), (_, counts) in zip(arms, tallies):
+        for count in counts:
+            est = {(db, r): OutageEstimate(db, r, count[(db, r)], plan.trials)
+                   for db in plan.snr_db for r in plan.rates}
+            slopes = {r: fit_slope([est[(db, r)] for db in plan.snr_db],
+                                   plan.count_floor, plan.fit_points)
+                      for r in plan.rates}
+            results.append(SweepResult(est, slopes, plan, prog.total_slots,
+                                       plan.cycles * sched.symbols_per_cycle))
+    return results
+
+
 def outage_sweep(net: Network, sched: Schedule, plan: SimPlan) -> SweepResult:
     """Estimate outage probability over the plan's SNR x rate grid.
 
@@ -169,37 +216,7 @@ def outage_sweep(net: Network, sched: Schedule, plan: SimPlan) -> SweepResult:
     falls below the rate budget of the cell.
     """
     prog = PropagationProgram(net, sched, plan.cycles)
-    thr = _thresholds(plan, sched, len(prog.kept_rows))
-    counts = {key: 0 for key in thr}
-    rhos = {db: 10.0 ** (db / 10.0) for db in plan.snr_db}
-
-    done = 0
-    ss = np.random.SeedSequence(plan.seed)
-    children = iter(ss.spawn(-(-plan.trials // plan.batch)))
-    while done < plan.trials:
-        b = min(plan.batch, plan.trials - done)
-        rng = np.random.default_rng(next(children))
-        gains = _draw_gains(rng, prog.n_edges, plan.batch)[:, :b]
-        h, g = prog.run(gains)
-        sv = _batched_whitened_sv(h, g)
-        sv2 = sv ** 2
-        for db in plan.snr_db:
-            bits = np.log2(1.0 + rhos[db] * sv2).sum(axis=1)
-            for r in plan.rates:
-                counts[(db, r)] += int((bits < thr[(db, r)]).sum())
-        done += b
-
-    estimates = {
-        (db, r): OutageEstimate(db, r, counts[(db, r)], plan.trials)
-        for db in plan.snr_db for r in plan.rates
-    }
-    slopes = {
-        r: fit_slope([estimates[(db, r)] for db in plan.snr_db],
-                     plan.count_floor, plan.fit_points)
-        for r in plan.rates
-    }
-    return SweepResult(estimates, slopes, plan, prog.total_slots,
-                       plan.cycles * sched.symbols_per_cycle)
+    return _sweep_arms(sched, plan, [(prog, None, (_batched_whitened_sv,))])[0]
 
 
 @dataclass(frozen=True)
@@ -222,39 +239,8 @@ def whitening_check(net: Network, sched: Schedule, plan: SimPlan) -> PairedSweep
     identity approximation; a material slope gap would mean the
     amplified-noise correction matters at these SNRs."""
     prog = PropagationProgram(net, sched, plan.cycles)
-    thr = _thresholds(plan, sched, len(prog.kept_rows))
-    counts_w = {key: 0 for key in thr}
-    counts_i = {key: 0 for key in thr}
-    rhos = {db: 10.0 ** (db / 10.0) for db in plan.snr_db}
-
-    done = 0
-    ss = np.random.SeedSequence(plan.seed)
-    children = iter(ss.spawn(-(-plan.trials // plan.batch)))
-    while done < plan.trials:
-        b = min(plan.batch, plan.trials - done)
-        rng = np.random.default_rng(next(children))
-        gains = _draw_gains(rng, prog.n_edges, plan.batch)[:, :b]
-        h, g = prog.run(gains)
-        sv_w = _batched_whitened_sv(h, g) ** 2
-        sv_i = np.linalg.svd(h, compute_uv=False) ** 2
-        for db in plan.snr_db:
-            bits_w = np.log2(1.0 + rhos[db] * sv_w).sum(axis=1)
-            bits_i = np.log2(1.0 + rhos[db] * sv_i).sum(axis=1)
-            for r in plan.rates:
-                counts_w[(db, r)] += int((bits_w < thr[(db, r)]).sum())
-                counts_i[(db, r)] += int((bits_i < thr[(db, r)]).sum())
-        done += b
-
-    def bundle(counts):
-        est = {(db, r): OutageEstimate(db, r, counts[(db, r)], plan.trials)
-               for db in plan.snr_db for r in plan.rates}
-        slopes = {r: fit_slope([est[(db, r)] for db in plan.snr_db],
-                               plan.count_floor, plan.fit_points)
-                  for r in plan.rates}
-        return SweepResult(est, slopes, plan, prog.total_slots,
-                           plan.cycles * sched.symbols_per_cycle)
-
-    return PairedSweep(bundle(counts_w), bundle(counts_i))
+    return PairedSweep(*_sweep_arms(sched, plan, [
+        (prog, None, (_batched_whitened_sv, _identity_sv))]))
 
 
 def backflow_check(net: Network, sched: Schedule, plan: SimPlan) -> PairedSweep:
@@ -270,42 +256,10 @@ def backflow_check(net: Network, sched: Schedule, plan: SimPlan) -> PairedSweep:
                 reverse.add((b, a))
     twin = net.without_edges(reverse)
 
-    prog_a = PropagationProgram(net, sched, plan.cycles)
-    prog_b = PropagationProgram(twin, sched, plan.cycles)
+    prog = PropagationProgram(net, sched, plan.cycles)
     # the twin's edges are a subset; reuse the same per-edge draws
-    col_map = [prog_a.edge_index[pair] for pair in sorted(twin.edge_set)]
-
-    thr_a = _thresholds(plan, sched, len(prog_a.kept_rows))
-    thr_b = _thresholds(plan, sched, len(prog_b.kept_rows))
-    counts_a = {key: 0 for key in thr_a}
-    counts_b = {key: 0 for key in thr_b}
-    rhos = {db: 10.0 ** (db / 10.0) for db in plan.snr_db}
-
-    done = 0
-    ss = np.random.SeedSequence(plan.seed)
-    children = iter(ss.spawn(-(-plan.trials // plan.batch)))
-    while done < plan.trials:
-        b = min(plan.batch, plan.trials - done)
-        rng = np.random.default_rng(next(children))
-        gains = _draw_gains(rng, prog_a.n_edges, plan.batch)[:, :b]
-        for prog, counts, thr, gvec in (
-                (prog_a, counts_a, thr_a, gains),
-                (prog_b, counts_b, thr_b, gains[col_map])):
-            h, g = prog.run(gvec)
-            sv2 = _batched_whitened_sv(h, g) ** 2
-            for db in plan.snr_db:
-                bits = np.log2(1.0 + rhos[db] * sv2).sum(axis=1)
-                for r in plan.rates:
-                    counts[(db, r)] += int((bits < thr[(db, r)]).sum())
-        done += b
-
-    def bundle(counts, prog):
-        est = {(db, r): OutageEstimate(db, r, counts[(db, r)], plan.trials)
-               for db in plan.snr_db for r in plan.rates}
-        slopes = {r: fit_slope([est[(db, r)] for db in plan.snr_db],
-                               plan.count_floor, plan.fit_points)
-                  for r in plan.rates}
-        return SweepResult(est, slopes, plan, prog.total_slots,
-                           plan.cycles * sched.symbols_per_cycle)
-
-    return PairedSweep(bundle(counts_a, prog_a), bundle(counts_b, prog_b))
+    cols = [prog.edge_index[pair] for pair in sorted(twin.edge_set)]
+    return PairedSweep(*_sweep_arms(sched, plan, [
+        (prog, None, (_batched_whitened_sv,)),
+        (PropagationProgram(twin, sched, plan.cycles), cols,
+         (_batched_whitened_sv,))]))

@@ -21,6 +21,7 @@ from relaydmt import (
     PropagationError,
     PropagationProgram,
     Schedule,
+    auto_schedule,
     color_kpp_general,
     color_kpp_three,
     extract_blocks,
@@ -313,6 +314,34 @@ def test_extract_blocks_split_and_independence():
     assert np.abs(h_rest).max() == 0.0
     assert independent
 
+    # leaky channels on either side of the flag: layered (1,2,2,2,1) runs
+    # the regular(2,3) coloring, whose thread and leakage share a gain;
+    # the buffered direct link's leakage uses gains of its own
+    for net, want in [(layered_network((1, 2, 2, 2, 1)), False),
+                      (kpp_network((2, 3, 4, 2), direct_link=True), True)]:
+        model = propagate(net, auto_schedule(net),
+                          FadingRealization.sample(net, 4), cycles=4)
+        h_diag, h_rest, independent = extract_blocks(model)
+        np.testing.assert_allclose(h_diag + h_rest, model.h, rtol=1e-15)
+        assert np.abs(h_rest).max() > 0
+        assert independent is want
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "thread entries sit far below the back-flow leakage, so perturbing a "
+    "thread edge moves them less than 1e-6 of max|H| and the shared gain "
+    "goes unseen on some draws"))
+def test_extract_blocks_sees_thread_edges_feeding_leakage():
+    # KPP(4,5): the thread edges also feed back-flow leakage entries, so
+    # no draw can make the two parts independent
+    net = kpp_network((4, 5))
+    sched = auto_schedule(net)
+    flags = [extract_blocks(propagate(net, sched,
+                                      FadingRealization.sample(net, seed),
+                                      cycles=4))[2]
+             for seed in range(10)]
+    assert flags == [False] * 10
+
 
 def test_extract_blocks_needs_structure():
     base = propagate(naf_network(), naf_schedule(naf_network()),
@@ -425,15 +454,10 @@ def test_overlapping_colors_do_leak_through_reverse_links():
 # ---------------------------------------------------------------------------
 # fading bookkeeping
 
-def test_fading_reciprocal_and_perturbed():
+def test_fading_reciprocal():
     net = kpp_network((2, 2))
     rec = FadingRealization.sample(net, 21, reciprocal=True)
     assert rec.gains[("s", "p1r1")] == rec.gains[("p1r1", "s")]
     plain = FadingRealization.sample(net, 21)
     pairs = [p for p in plain.gains if (p[1], p[0]) in plain.gains]
     assert any(plain.gains[p] != plain.gains[(p[1], p[0])] for p in pairs)
-
-    bumped = plain.perturbed(("s", "p1r1"), factor=2.0)
-    assert bumped.gains[("s", "p1r1")] == 2.0 * plain.gains[("s", "p1r1")]
-    untouched = [p for p in plain.gains if p != ("s", "p1r1")]
-    assert all(bumped.gains[p] == plain.gains[p] for p in untouched)

@@ -14,6 +14,7 @@ from relaydmt import (
     FadingRealization,
     OutageEstimate,
     SimPlan,
+    auto_schedule,
     backflow_check,
     color_kpp_three,
     fit_slope,
@@ -209,6 +210,21 @@ def test_backflow_check_clean_coloring_is_exactly_neutral():
         assert est.outages == pair.second.estimates[key].outages
     gap = pair.slope_gap(0.0)
     assert gap is None or gap == 0.0
+
+
+@pytest.mark.parametrize("net", [
+    kpp_network((2, 3, 4)),
+    kpp_network((2, 3, 4, 2), direct_link=True),
+], ids=["kpp234", "kppD2342"])
+def test_paired_checks_share_the_sweep_draws(net):
+    # 700 trials end on a short batch of 188 draws, cut from a full one
+    sched = auto_schedule(net)
+    plan = small_plan(snr_db=(10, 20, 30), rates=(0.0, 0.5), trials=700)
+    plain = outage_sweep(net, sched, plan)
+    for pair in (whitening_check(net, sched, plan),
+                 backflow_check(net, sched, plan)):
+        assert pair.first.estimates == plain.estimates
+        assert pair.first.slopes == plain.slopes
 
 
 def test_backflow_check_needs_backbone():
