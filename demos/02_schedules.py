@@ -8,6 +8,9 @@ pipeline work: disjoint first edges, disjoint last edges, half-duplex
 along each path, equal activation counts.
 """
 
+import os
+import tempfile
+
 from relaydmt import (color_kpp_general, color_kpp_three, color_kpp_two,
                       kpp_network, load_schedule, save_schedule,
                       validate_orthogonal)
@@ -42,7 +45,9 @@ print()
 
 # auto_schedule dispatches on the family; schedules round-trip to JSON.
 best = auto_schedule(net)
-save_schedule(best, "/tmp/kpp234_schedule.json")
-again = load_schedule("/tmp/kpp234_schedule.json")
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "kpp234_schedule.json")
+    save_schedule(best, path)
+    again = load_schedule(path)
 print("auto schedule for kpp(2,3,4): cycle", again.cycle_length,
       "| delivers", again.symbols_per_cycle, "symbols per cycle")

@@ -169,16 +169,12 @@ class PropagationProgram:
         self.n_noise = n_noise
         self.kept_rows = [i for i, t in enumerate(self.rows) if t >= self.keep_from]
 
-        # structural support, so every run prunes the same symbol columns
-        h, _ = self._execute(self._probe_gains())
+        # structural support, so every run prunes the same symbol columns;
+        # each H entry sums gain products with coefficient +1, so unit
+        # gains leave exactly the structurally nonzero entries nonzero
+        h, _ = self._execute(np.ones((self.n_edges, 1), dtype=complex))
         alive = np.abs(h[0]).max(axis=0) > 0
         self.kept_cols = [j for j in range(n_sym) if alive[j]]
-
-    def _probe_gains(self):
-        rng = np.random.default_rng(20240801)
-        g = rng.standard_normal((self.n_edges, 1)) \
-            + 1j * rng.standard_normal((self.n_edges, 1))
-        return g
 
     def _execute(self, gains):
         """Run the program; gains has shape (n_edges, batch).
@@ -285,11 +281,17 @@ class StructureCertificate:
     notes: tuple = ()
 
 
-def _support(h, tol_scale=1e-10):
+# an H entry counts as nonzero above this fraction of max|H|
+_SUPPORT_TOL = 1e-10
+# relative tolerance of the thread check against the expected coefficient
+_THREAD_TOL = 1e-9
+
+
+def _support(h):
     scale = np.abs(h).max()
     if scale == 0:
         return np.zeros(h.shape, dtype=bool)
-    return np.abs(h) > tol_scale * scale
+    return np.abs(h) > _SUPPORT_TOL * scale
 
 
 def _expected_thread(model: TransferModel):
@@ -320,8 +322,7 @@ def _expected_thread(model: TransferModel):
     return expected
 
 
-def structure_certificate(model: TransferModel, rel_tol: float = 1e-9,
-                          tol_scale: float = 1e-10) -> StructureCertificate:
+def structure_certificate(model: TransferModel) -> StructureCertificate:
     """Classify H and check its dominant entries against the schedule.
 
     Kinds, most specific first: diagonal (one entry per row, strictly
@@ -329,12 +330,12 @@ def structure_certificate(model: TransferModel, rel_tol: float = 1e-9,
     advancing), upper-triangular (oldest symbol strictly advancing),
     block-lower-triangular (no row touches a later cycle's symbols).
     The thread check compares the expected per-row coefficient with the
-    matching entry of H at relative tolerance ``rel_tol``.
+    matching entry of H at relative tolerance ``_THREAD_TOL``.
     """
     h = model.h
     if h.size == 0:
         return StructureCertificate("none", False, np.inf, notes=("empty",))
-    sup = _support(h, tol_scale)
+    sup = _support(h)
     per_row = [np.flatnonzero(r) for r in sup]
     if any(len(nz) == 0 for nz in per_row):
         return StructureCertificate("none", False, np.inf,
@@ -373,12 +374,12 @@ def structure_certificate(model: TransferModel, rel_tol: float = 1e-9,
         got = h[r, main[r]]
         e = abs(got - exp) / max(abs(exp), 1e-300)
         err = max(err, e)
-        if e > rel_tol:
+        if e > _THREAD_TOL:
             ok = False
     return StructureCertificate(kind, ok, err, main_columns=tuple(main))
 
 
-def extract_blocks(model: TransferModel, tol_scale: float = 1e-10):
+def extract_blocks(model: TransferModel):
     """Split H into its dominant diagonal and the leakage remainder.
 
     Returns (h_diag, h_rest, independent): h_diag keeps only each row's
@@ -387,7 +388,7 @@ def extract_blocks(model: TransferModel, tol_scale: float = 1e-10):
     compiled program with each edge gain perturbed in turn and watching
     which entries move.
     """
-    cert = structure_certificate(model, tol_scale=tol_scale)
+    cert = structure_certificate(model)
     if cert.kind == "none":
         raise PropagationError("channel has no triangular structure")
     h = model.h

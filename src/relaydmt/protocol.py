@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from heapq import heappop, heappush
 
@@ -36,10 +36,11 @@ class Schedule:
     """Periodic activation plan.
 
     ``activations`` maps a directed edge (tail, head) to its slot set
-    within one cycle. ``path_counts`` holds the per-path symbol counts
-    m_i for path-structured schedules. ``deliveries`` maps each sink
-    reception slot to the index of the path whose symbol lands there
-    (the direct link, when buffered, is bookkept separately).
+    within one cycle. ``deliveries`` maps each sink reception slot to
+    the index of the path whose symbol lands there: the slots of that
+    path's last edge (the direct link, when used, is bookkept
+    separately). ``path_counts`` holds the per-path symbol counts m_i,
+    the sizes of those last-edge slot sets.
     """
 
     cycle_length: int
@@ -60,20 +61,6 @@ class Schedule:
 
     def slots_of(self, tail: str, head: str) -> frozenset:
         return self.activations.get((tail, head), frozenset())
-
-    def transmit_slots(self, node: str) -> set:
-        out = set()
-        for (tail, _), slots in self.activations.items():
-            if tail == node:
-                out |= slots
-        return out
-
-    def receive_slots(self, node: str) -> set:
-        out = set()
-        for (_, head), slots in self.activations.items():
-            if head == node:
-                out |= slots
-        return out
 
 
 @dataclass(frozen=True)
@@ -183,48 +170,64 @@ def _resolve_backbone(lengths, net):
     return net, paths
 
 
-def _assemble(net, paths, colors, N, *, delays=None, params=None):
-    """Build a Schedule from per-path per-edge single colors (m_i = 1)."""
+def _from_slot_sets(paths, slot_sets, N, **fields):
+    """Build a Schedule from one slot set per path edge.
+
+    ``slot_sets[i][j]`` holds the slots of edge j of path i. Paths that
+    share an edge activate it in the union of their sets; each path
+    delivers in its last-edge slots, so m_i is their number and the
+    rate is sum(m_i) / N unless ``symbols_per_cycle`` is given.
+    """
     activations = {}
     deliveries = {}
-    for i, (path, cols) in enumerate(zip(paths, colors)):
-        for (tail, head), c in zip(_path_edges(path), cols):
-            activations[(tail, head)] = frozenset({c % N})
-        deliveries[cols[-1] % N] = i
-    sched = Schedule(
+    for i, (path, sets) in enumerate(zip(paths, slot_sets)):
+        for pair, slots in zip(_path_edges(path), sets):
+            activations[pair] = activations.get(pair, frozenset()) | frozenset(slots)
+        deliveries.update(dict.fromkeys(sets[-1], i))
+    counts = tuple(len(sets[-1]) for sets in slot_sets)
+    fields.setdefault("symbols_per_cycle", sum(counts))
+    return Schedule(
         cycle_length=N,
         activations=activations,
         backbone=PathSet(tuple(tuple(p) for p in paths)),
-        path_counts=(1,) * len(paths),
-        added_delays=dict(delays or {}),
-        symbols_per_cycle=len(paths),
-        steady_state_delay=N * _ceil_div(_max_span(paths, colors, N), N),
+        path_counts=counts,
         deliveries=deliveries,
-        params=dict(params or {}),
+        **fields,
     )
-    return sched
+
+
+def _assemble(paths, colors, N, delays=None):
+    """Build a Schedule from per-path per-edge single colors (m_i = 1)."""
+    return _from_slot_sets(
+        paths, [[{c % N} for c in cols] for cols in colors], N,
+        added_delays=dict(delays or {}),
+        steady_state_delay=N * _ceil_div(_max_span(colors, N), N))
+
+
+def _with_direct_link(sched, net, **fields):
+    """``sched`` plus the direct link in every slot, where the source
+    sends a fresh symbol each time."""
+    N = sched.cycle_length
+    direct = {(net.source.id, net.sink.id): frozenset(range(N))}
+    return replace(sched, activations={**sched.activations, **direct},
+                   symbols_per_cycle=N, **fields)
 
 
 def _ceil_div(a, b):
     return -(-a // b)
 
 
-def _max_span(paths, colors, N):
-    # end-to-end slot span of each path; strictly increasing color lists
-    # are absolute slot numbers, anything else advances by the smallest
-    # positive step consistent with the residues
-    worst = 1
-    for cols in colors:
-        if all(b > a for a, b in zip(cols, cols[1:])):
-            span = cols[-1] - cols[0] + 1
-        else:
-            t = cols[0]
-            for a, b in zip(cols, cols[1:]):
-                step = (b - a) % N
-                t += step if step else N
-            span = t - cols[0] + 1
-        worst = max(worst, span)
-    return worst
+def _lag(cols, N):
+    # slots from a path's first activation to its last: a rising slot
+    # is reached directly (absolute slot numbers always rise), any other
+    # residue by the smallest positive step that lands on it
+    return sum(b - a if b > a else (b - a) % N or N
+               for a, b in zip(cols, cols[1:]))
+
+
+def _max_span(colors, N):
+    # end-to-end slot span of the slowest path
+    return 1 + max(_lag(cols, N) for cols in colors)
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +248,7 @@ def color_kpp_general(lengths, net=None) -> Schedule:
         cols = [(i + (j % 3)) % K for j in range(n - 1)]
         cols.append((i + 3) % K)
         colors.append(cols)
-    return _assemble(net, paths, colors, K)
+    return _assemble(paths, colors, K)
 
 
 def color_kpp_three(lengths, net=None) -> Schedule:
@@ -302,7 +305,7 @@ def color_kpp_three(lengths, net=None) -> Schedule:
     unsorted_cols = [None] * 3
     for pos, i in enumerate(order):
         unsorted_cols[i] = cols[pos]
-    return _assemble(net, paths, unsorted_cols, 3)
+    return _assemble(paths, unsorted_cols, 3)
 
 
 def color_kpp_two(n1, n2, net=None) -> Schedule:
@@ -322,36 +325,14 @@ def color_kpp_two(n1, n2, net=None) -> Schedule:
     if (n1 + n2) % 2 == 0:
         colors = [[j % 2 for j in range(n1)],
                   [(n1 + n2 - k - 1) % 2 for k in range(n2)]]
-        return _assemble(net, paths, colors, 2)
+        return _assemble(paths, colors, 2)
 
+    # wave w of the long path pauses once it reaches hop n2 - w
     N = 2 * n2
-    activations = {}
-    deliveries = {}
-    short_sets = [frozenset(s for s in range(N) if s % 2 == j % 2) for j in range(n1)]
-    long_sets = []
-    for j in range(n2):
-        slots = set()
-        for w in range(n2 - 1):
-            q = n2 - w
-            slots.add((2 * w + 1 + j + (1 if j + 1 >= q else 0)) % N)
-        long_sets.append(frozenset(slots))
-    for (tail, head), s in zip(_path_edges(paths[0]), short_sets):
-        activations[(tail, head)] = s
-    for (tail, head), s in zip(_path_edges(paths[1]), long_sets):
-        activations[(tail, head)] = s
-    for s in short_sets[-1]:
-        deliveries[s] = 0
-    for s in long_sets[-1]:
-        deliveries[s] = 1
-    return Schedule(
-        cycle_length=N,
-        activations=activations,
-        backbone=PathSet(tuple(tuple(p) for p in paths)),
-        path_counts=(n2, n2 - 1),
-        symbols_per_cycle=2 * n2 - 1,
-        steady_state_delay=N,
-        deliveries=deliveries,
-    )
+    short = [range(j % 2, N, 2) for j in range(n1)]
+    long = [{(2 * w + 1 + j + (j + 1 >= n2 - w)) % N for w in range(n2 - 1)}
+            for j in range(n2)]
+    return _from_slot_sets(paths, [short, long], N, steady_state_delay=N)
 
 
 def color_regular(K, L, net=None) -> Schedule:
@@ -362,7 +343,7 @@ def color_regular(K, L, net=None) -> Schedule:
     lengths = (L + 1,) * K
     net, paths = _resolve_backbone(lengths, net)
     colors = [[(i + j) % K for j in range(L + 1)] for i in range(K)]
-    return _assemble(net, paths, colors, K)
+    return _assemble(paths, colors, K)
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +433,7 @@ def almost_continuous_schedule(lengths, net=None, delays=None) -> Schedule:
             t += 1 + delays.get(path[j], 0) + (pause if j == 1 else 0)
             cols.append(t)
         colors[i] = cols
-    return _assemble(net, paths, colors, K, delays=delays)
+    return _assemble(paths, colors, K, delays)
 
 
 @dataclass(frozen=True)
@@ -624,33 +605,20 @@ def kppI_schedule(net: Network, frames_per_segment=None) -> Schedule:
     F = frames_per_segment
     combos = list(itertools.combinations(range(K), 3))
     N = len(combos) * 3 * F
-    activations = {pair: set() for path in paths for pair in _path_edges(path)}
-    deliveries = {}
-    appearances = len(list(itertools.combinations(range(K - 1), 2)))
+    slot_sets = [[set() for _ in _path_edges(path)] for path in paths]
     for seg, combo in enumerate(combos):
         sub_paths = [paths[i] for i in combo]
         sub_net = _restrict_to_paths(net, sub_paths)
         delays = balance_delays_kpp3(sub_net)
         sub = almost_continuous_schedule(
             tuple(lengths[i] for i in combo), sub_net, delays)
-        offset = seg * 3 * F
-        for pair, slots in sub.activations.items():
-            for s in slots:
-                for f in range(F):
-                    activations[pair].add(offset + f * 3 + s)
-        for s, local_i in sub.deliveries.items():
-            for f in range(F):
-                deliveries[offset + f * 3 + s] = combo[local_i]
-    return Schedule(
-        cycle_length=N,
-        activations={p: frozenset(s) for p, s in activations.items()},
-        backbone=cls.backbone,
-        path_counts=(appearances * F,) * K,
-        symbols_per_cycle=K * appearances * F,
-        steady_state_delay=N,
-        deliveries=deliveries,
-        params={"segments": len(combos), "frames_per_segment": F},
-    )
+        frames = range(seg * 3 * F, (seg + 1) * 3 * F, 3)
+        for i in combo:
+            for sets, pair in zip(slot_sets[i], _path_edges(paths[i])):
+                sets.update(f + s for f in frames for s in sub.slots_of(*pair))
+    return _from_slot_sets(
+        paths, slot_sets, N, steady_state_delay=N,
+        params={"segments": len(combos), "frames_per_segment": F})
 
 
 # ---------------------------------------------------------------------------
@@ -687,16 +655,9 @@ def kppD_schedule(net: Network, base: Schedule | None = None) -> Schedule:
         raise SchedulingError("base schedule must be clean and rate 1")
 
     N = base.cycle_length
-    s, d = net.source.id, net.sink.id
     # injection-to-arrival lag of each path under the base coloring
-    lags = []
-    for path in base.backbone:
-        cols = [min(base.slots_of(t, h)) for t, h in _path_edges(path)]
-        t = cols[0]
-        for a, b in zip(cols, cols[1:]):
-            step = (b - a) % N
-            t += step if step else N
-        lags.append(t - cols[0])
+    lags = [_lag([min(base.slots_of(*pair)) for pair in _path_edges(path)], N)
+            for path in base.backbone]
     target = max(lags)
     primes = {}
     lag_of_path = []
@@ -704,23 +665,12 @@ def kppD_schedule(net: Network, base: Schedule | None = None) -> Schedule:
         b = _ceil_div(target - lag, N)
         primes[path[-2]] = b
         lag_of_path.append(lag + b * N)
-
-    activations = dict(base.activations)
-    activations[(s, d)] = frozenset(range(N))
-    steady = N * _ceil_div(max(lag_of_path), N)
-    return Schedule(
-        cycle_length=N,
-        activations=activations,
-        backbone=base.backbone,
-        path_counts=base.path_counts,
-        added_delays=dict(base.added_delays),
-        steady_state_delay=steady,
+    return _with_direct_link(
+        base, net,
+        steady_state_delay=N * _ceil_div(max(lag_of_path), N),
         direct_link_mode="buffered",
         buffer_primes=primes,
-        symbols_per_cycle=N,
-        deliveries=dict(base.deliveries),
-        params={"relay_lags": tuple(lag_of_path)},
-    )
+        params={"relay_lags": tuple(lag_of_path)})
 
 
 # ---------------------------------------------------------------------------
@@ -779,28 +729,13 @@ def fd_schedule(net: Network, T=None, rounds=1) -> Schedule:
     if T < max(lengths):
         raise SchedulingError(f"window {T} shorter than longest path")
     M = len(paths)
-    activations = {}
-    deliveries = {}
-    for rnd in range(rounds):
-        for w, (path, n) in enumerate(zip(paths, lengths)):
-            base = (rnd * M + w) * T
-            for j, (tail, head) in enumerate(_path_edges(path), start=1):
-                slots = frozenset(range(base + j - 1, base + T - n + j))
-                activations[(tail, head)] = activations.get(
-                    (tail, head), frozenset()) | slots
-            for t in range(base + n - 1, base + T):
-                deliveries[t] = w
-    counts = [(T - n + 1) * rounds for n in lengths]
-    return Schedule(
-        cycle_length=M * T * rounds,
-        activations=activations,
-        backbone=PathSet(tuple(tuple(p) for p in paths)),
-        path_counts=tuple(counts),
-        symbols_per_cycle=sum(counts),
-        steady_state_delay=0,
-        deliveries=deliveries,
-        params={"T": T, "rounds": rounds},
-    )
+    # path w owns window rnd * M + w of every round
+    slot_sets = [
+        [{(rnd * M + w) * T + t for rnd in range(rounds)
+          for t in range(j - 1, T - n + j)} for j in range(1, n + 1)]
+        for w, n in enumerate(lengths)]
+    return _from_slot_sets(paths, slot_sets, M * T * rounds,
+                           params={"T": T, "rounds": rounds})
 
 
 # ---------------------------------------------------------------------------
@@ -856,74 +791,36 @@ def layered_matching_schedule(net: Network, T=None) -> Schedule:
     if 2 * T <= L:
         raise SchedulingError("blocks too short for the pipeline")
 
-    activations = {}
-    deliveries = {}
     paths = list(pset)
     index = {p: i for i, p in enumerate(paths)}
+    slot_sets = [[set() for _ in range(L + 1)] for _ in paths]
     for b, p in enumerate(paths):
-        base = b * 2 * T
         for role, path in enumerate((p, partner[p])):
-            for j, (tail, head) in enumerate(_path_edges(path), start=1):
-                lo, hi = role + j - 1, 2 * T - 1 - (L + 1) + j
-                slots = {base + t for t in range(lo, hi + 1)
-                         if t % 2 == (role + j - 1) % 2}
-                activations[(tail, head)] = activations.get(
-                    (tail, head), frozenset()) | frozenset(slots)
-            n = L + 1
-            for t in range(role + n - 1, 2 * T):
-                if t % 2 == (role + n - 1) % 2 and t - (n - 1) <= 2 * T - 1 - L:
-                    deliveries[base + t] = index[path]
-    m = 2 * T - L
-    return Schedule(
-        cycle_length=2 * T * len(paths),
-        activations=activations,
-        backbone=pset,
-        path_counts=(m,) * len(paths),
-        symbols_per_cycle=m * len(paths),
-        steady_state_delay=0,
-        deliveries=deliveries,
+            # edge j fires every other slot from role + j - 1 and stops
+            # early enough for the last symbol to clear the block
+            for j, sets in enumerate(slot_sets[index[path]], start=1):
+                sets.update(range(2 * T * b + role + j - 1,
+                                  2 * T * b + 2 * T - L - 1 + j, 2))
+    return _from_slot_sets(
+        paths, slot_sets, 2 * T * len(paths),
         params={"T": T, "partner": {" ".join(k): " ".join(v)
-                                    for k, v in partner.items()}},
-    )
+                                    for k, v in partner.items()}})
 
 
 # ---------------------------------------------------------------------------
 # reference two-hop schedules
 
 def single_link_schedule(net: Network) -> Schedule:
-    s, d = net.source.id, net.sink.id
-    return Schedule(
-        cycle_length=1,
-        activations={(s, d): frozenset({0})},
-        backbone=PathSet(((s, d),)),
-        path_counts=(1,),
-        symbols_per_cycle=1,
-        deliveries={0: 0},
-    )
+    return _from_slot_sets([(net.source.id, net.sink.id)], [[{0}]], 1)
 
 
 def naf_schedule(net: Network) -> Schedule:
     """Two-slot relay pattern: the relay listens in the first slot and
     repeats in the second while the source keeps talking on the direct
     link."""
-    s, d = net.source.id, net.sink.id
-    relays = [n.id for n in net.relays]
-    if len(relays) != 1 or not net.has_edge(s, d):
+    if len(net.relays) != 1 or not net.has_edge(net.source.id, net.sink.id):
         raise SchedulingError("need one relay and a direct link")
-    r = relays[0]
-    return Schedule(
-        cycle_length=2,
-        activations={
-            (s, d): frozenset({0, 1}),
-            (s, r): frozenset({0}),
-            (r, d): frozenset({1}),
-        },
-        backbone=PathSet(((s, r, d),)),
-        path_counts=(1,),
-        symbols_per_cycle=2,
-        deliveries={1: 0},
-        params={"direct_every_slot": 1},
-    )
+    return saf_schedule(net, 2)
 
 
 def saf_schedule(net: Network, n_slots=5) -> Schedule:
@@ -937,25 +834,13 @@ def saf_schedule(net: Network, n_slots=5) -> Schedule:
     M, R = n_slots, len(relays)
     if M < 2:
         raise SchedulingError("need at least two slots")
-    activations = {(s, d): frozenset(range(M))}
-    counts = []
-    deliveries = {}
-    for k, r in enumerate(relays):
-        listen = frozenset(t for t in range(M - 1) if t % R == k)
-        activations[(s, r)] = listen
-        activations[(r, d)] = frozenset(t + 1 for t in listen)
-        counts.append(len(listen))
-        for t in listen:
-            deliveries[t + 1] = k
-    return Schedule(
-        cycle_length=M,
-        activations=activations,
-        backbone=PathSet(tuple((s, r, d) for r in relays)),
-        path_counts=tuple(counts),
-        symbols_per_cycle=M,
-        deliveries=deliveries,
-        params={"direct_every_slot": 1},
-    )
+    # relay k listens in slots k, k + R, ... short of the last one
+    listens = [range(k, M - 1, R) for k in range(R)]
+    relayed = _from_slot_sets(
+        [(s, r, d) for r in relays],
+        [[listen, [t + 1 for t in listen]] for listen in listens], M,
+        params={"direct_every_slot": 1})
+    return _with_direct_link(relayed, net)
 
 
 def auto_schedule(net: Network) -> Schedule:

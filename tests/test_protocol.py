@@ -2,6 +2,8 @@
 token-passing simulator, rates are checked against the exact formulas,
 and the causal/back-flow reports against their definitions."""
 
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -9,6 +11,8 @@ import pytest
 
 from relaydmt import (
     DelaySearchError,
+    Network,
+    Node,
     PathSet,
     Schedule,
     SchedulingError,
@@ -340,6 +344,67 @@ def test_reference_schedules():
     assert saf.slots_of("s", "d") == frozenset(range(5))
     longer = saf_schedule(saf_network(2), n_slots=8)
     assert longer.cycle_length == 8
+
+
+def test_naf_is_one_relay_saf_with_two_slots():
+    assert naf_schedule(naf_network()) == saf_schedule(naf_network(), 2)
+
+
+def full_duplex(net):
+    return Network([Node(n.id, n.role, n.antennas, "full") if n.role == "relay"
+                    else n for n in net.nodes], net.edges)
+
+
+def crossed(lengths):
+    return kpp_network(lengths, cross_links=[((1, 1), (2, 1))])
+
+
+# Constructions the seeded benchmark corpus does not reach: SHA-256 of
+# json.dumps(schedule_to_dict(s), sort_keys=True), recorded from an
+# implementation that wrote every Schedule field by hand, so a change
+# in any derived field (deliveries, path counts, rate) shows here.
+PINNED = {
+    "kppI4": lambda: kppI_schedule(crossed((2, 3, 3, 4))),
+    "kppI4-F2": lambda: kppI_schedule(crossed((2, 3, 3, 4)), 2),
+    "kppI5": lambda: kppI_schedule(crossed((2, 3, 3, 4, 3))),
+    "kppI5-F2": lambda: kppI_schedule(crossed((2, 3, 3, 4, 3)), 2),
+    **{f"fd-T{T}-r{r}": (lambda T=T, r=r: fd_schedule(
+        full_duplex(kpp_network((2, 3, 4))), T, r))
+       for T in (None, 7) for r in (1, 2)},
+    **{f"layered{''.join(map(str, p))}-T5": (
+        lambda p=p: layered_matching_schedule(layered_network(p), 5))
+       for p in ((1, 2, 3, 1), (1, 3, 2, 1), (1, 2, 2, 2, 1))},
+    "saf3-M2": lambda: saf_schedule(saf_network(3), 2),
+    "saf3-M8": lambda: saf_schedule(saf_network(3), 8),
+    "kpp25": lambda: color_kpp_two(2, 5),
+    "kpp47": lambda: color_kpp_two(4, 7),
+    "naf": lambda: naf_schedule(naf_network()),
+}
+
+PINNED_SHA256 = {
+    "kppI4": "a7b74c2a8c29c3a182044ed28525b10569b8940725850e7ad548734d307dcc48",
+    "kppI4-F2": "4972abc4ebb6a249798f72bb4d362487b948665f490489e9ddaab04e1d7e4291",
+    "kppI5": "43db67b3505ba58a5c2d1a0686789d51a08a3ae82a9d6a856243a4a395d6cd4d",
+    "kppI5-F2": "40dba11068395d3bef52394606cdc9696b30ddc730132b55ae5ed145f6fcf648",
+    "fd-TNone-r1": "9cc9c4215e4cee5abbae4143b02d2f63f666c9ac12c2ba6a40f01085c96c834f",
+    "fd-TNone-r2": "b0db353cb3a1a01d1a573dfeb1d9a3d4afdf38313c0000416aa81aead6655000",
+    "fd-T7-r1": "86fa51f62e55e9b8f1ab9dd9760bfe96dfb307fdf25d3fc323c909a2d8203d33",
+    "fd-T7-r2": "9dbde5e36d1f5be925bea42e8994faecb784d058613df3642d022b654fcba15f",
+    "layered1231-T5": "0066fe417549b39e7d9792046015d600daab89f3be311102dec1eab487f7cbd8",
+    "layered1321-T5": "ea2a41b6780cff80ca08cb3e05d5ee25875204b746987a14a821c8f7b82ef46d",
+    "layered12221-T5": "efd2ead759319477b999f8ed05a5b128973c17416150365785abd592a0b3f6a6",
+    "saf3-M2": "d62984ee0bd7f33a6a48170deb63e44dbed43e5f3a8cb0016adf0775e8c43194",
+    "saf3-M8": "d17449e718212fe2941bffa7aac282affdb238d37a33c24d4db1172857127126",
+    "kpp25": "2e34e14695e552cd92e01a842075c0d7db9215d697434966c17efc8d0abcfcce",
+    "kpp47": "77275bdf49f399529a1d646e4e59805c28f8474bd31d8c320e3831cfa1865889",
+    "naf": "ca5c218d3d4b03dc95203ed6814d68e32c6c539a2b04895a6c4ee2bdd4d451dd",
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED))
+def test_schedule_matches_pinned_digest(case):
+    blob = json.dumps(schedule_to_dict(PINNED[case]()), sort_keys=True)
+    assert hashlib.sha256(blob.encode()).hexdigest() == PINNED_SHA256[case]
 
 
 # ---------------------------------------------------------------------------
