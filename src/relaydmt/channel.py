@@ -3,10 +3,12 @@
 Running a schedule for a whole number of cycles turns the network into
 one linear map: sink observations = H * (source symbols) + n, where n
 has covariance sigma = I + G G^H and G collects the amplified relay
-noise. Everything here is probe based: symbols and relay noises are
-tracked as separate columns through the same register arithmetic the
-real network would apply, so H, G and sigma come out of one pass with
-no formula specific to any topology.
+noise. Symbols and relay noises are tracked as separate columns through
+the same register arithmetic the real network would apply, so H, G and
+sigma come out of one pass with no formula specific to any topology.
+Compilation walks that arithmetic once over structural supports (the
+columns each register value can reach), and every run then works on
+those supports alone.
 
 Reception is slot driven: a node listens in exactly the slots where
 one of its scheduled incoming edges is active, and then hears every
@@ -93,7 +95,11 @@ class PropagationProgram:
 
     Compiling once and running over many gain draws is what makes the
     outage sweeps affordable: ``run`` takes a (n_edges, batch) gain
-    array and returns stacked H and G for the whole batch.
+    array and returns stacked H and G for the whole batch. Compilation
+    fixes each value's support, so ``kept_cols`` (symbols some kept row
+    reaches) and ``row_support`` (the [h | g] columns of each kept row,
+    from which independent row blocks follow) are structural, not
+    measured on a draw.
     """
 
     def __init__(self, net: Network, sched: Schedule, cycles: int):
@@ -131,7 +137,7 @@ class PropagationProgram:
 
         # one pass over the window, recording everything that happens
         self.injections = []      # (slot, symbol index)
-        self.slot_ops = []        # per slot: (sym_idx | None, recvs, row | None)
+        slot_ops = []             # per slot: (sym_idx | None, recvs, row | None)
         n_sym = 0
         n_noise = 0
         self.rows = []            # absolute slot per sink row, in order
@@ -164,29 +170,28 @@ class PropagationProgram:
                 else:
                     recvs.append((u, terms, n_noise))
                     n_noise += 1
-            self.slot_ops.append((sym_idx, recvs, row))
+            slot_ops.append((sym_idx, recvs, row))
         self.n_symbols = n_sym
         self.n_noise = n_noise
         self.kept_rows = [i for i, t in enumerate(self.rows) if t >= self.keep_from]
+        self._compile(slot_ops)
 
-        # structural support, so every run prunes the same symbol columns;
-        # each H entry sums gain products with coefficient +1, so unit
-        # gains leave exactly the structurally nonzero entries nonzero
-        h, _ = self._execute(np.ones((self.n_edges, 1), dtype=complex))
-        alive = np.abs(h[0]).max(axis=0) > 0
-        self.kept_cols = [j for j in range(n_sym) if alive[j]]
+    def _compile(self, slot_ops):
+        """Walk the slots once over structural supports.
 
-    def _execute(self, gains):
-        """Run the program; gains has shape (n_edges, batch).
-
-        Returns (h, g) with shapes (batch, kept rows, n_symbols) and
-        (batch, kept rows, n_noise); symbol columns are NOT pruned here.
+        A value a relay stores or the sink hears sums gain times earlier
+        values, so its support (the symbol columns 0..n_symbols-1 and
+        noise columns n_symbols + k it reaches) is the union of theirs.
+        Its layout is the first term's support, then each later term's
+        new columns, then its own noise column; each term records where
+        its source lands, as a slice when contiguous. Registers and FIFOs
+        are resolved here, so ``run`` only replays the steps kept rows
+        depend on.
         """
-        batch = gains.shape[1]
-        P = self.n_symbols + self.n_noise
         regs = {}
         queues = {u: deque([None] * b) for u, b in self.buffered.items()}
-        out = []
+        values = []               # per value: (support, terms, adds noise)
+        row_values = []           # per row: its value
 
         def signal(w):
             if w in queues:
@@ -194,44 +199,96 @@ class PropagationProgram:
                 return q.popleft() if q else None
             return regs.get(w)
 
-        def gather(terms, pulled):
-            acc = np.zeros((P, batch), dtype=complex)
+        def combine(terms, pulled, noise):
+            index, out = {}, []   # column -> position, in layout order
             for kind, key, gidx in terms:
                 if kind == "sym":
-                    acc[key] += gains[gidx]
-                    continue
-                vec = pulled[key]
-                if vec is not None:
-                    acc += gains[gidx] * vec
-            return acc
+                    src, sup = None, (key,)
+                else:
+                    src = pulled[key]
+                    if src is None:
+                        continue
+                    sup = values[src][0]
+                pos = [index.setdefault(c, len(index)) for c in sup]
+                contiguous = pos == list(range(pos[0], pos[0] + len(pos)))
+                out.append((src, gidx, slice(pos[0], pos[-1] + 1) if contiguous
+                            else np.array(pos)))
+            if noise is not None:
+                index[self.n_symbols + noise] = len(index)
+            values.append((tuple(index), out, noise is not None))
+            return len(values) - 1
 
-        for sym_idx, recvs, row in self.slot_ops:
+        for sym_idx, recvs, row in slot_ops:
             # pull every transmitting register once, FIFO pops included
             senders = {key for _, terms, *_ in list(recvs) + ([row] if row else [])
                        for kind, key, _ in terms if kind == "reg"}
             pulled = {w: signal(w) for w in senders}
-            updates = {}
-            for u, terms, noise_idx in recvs:
-                acc = gather(terms, pulled)
-                acc[self.n_symbols + noise_idx] += 1.0
-                updates[u] = acc
+            updates = {u: combine(terms, pulled, noise_idx)
+                       for u, terms, noise_idx in recvs}
             if row is not None:
-                out.append(gather(row[1], pulled))
-            for u, vec in updates.items():
+                row_values.append(combine(row[1], pulled, None))
+            for u, v in updates.items():
                 if u in queues:
-                    queues[u].append(vec)
+                    queues[u].append(v)
                 else:
-                    regs[u] = vec
+                    regs[u] = v
 
-        full = np.stack(out, axis=0) if out else np.zeros((0, P, batch), complex)
-        full = full[self.kept_rows]
-        full = np.moveaxis(full, 2, 0)  # (batch, rows, P)
-        return full[:, :, :self.n_symbols], full[:, :, self.n_symbols:]
+        # keep only the steps a kept row depends on, and free each value
+        # after its last reader
+        rows = [row_values[i] for i in self.kept_rows]
+        live = set(rows)
+        for v in reversed(range(len(values))):
+            if v in live:
+                live.update(src for src, _, _ in values[v][1] if src is not None)
+        live = sorted(live)
+        last = {src: v for v in live for src, _, _ in values[v][1] if src is not None}
+        frees = {}
+        for src, v in last.items():
+            frees.setdefault(v, []).append(src)
+        self._steps = [(v, len(values[v][0]), *values[v][1:], frees.get(v, ()))
+                       for v in live]
+        self._row_values = rows
+
+        reached = sorted({c for v in rows for c in values[v][0] if c < self.n_symbols})
+        self.kept_cols = reached
+        col = dict(zip(reached, range(len(reached))))
+        col.update((self.n_symbols + k, len(reached) + k) for k in range(self.n_noise))
+        # per kept row, the columns of [h | g] it reaches, in layout order
+        self.row_support = [np.array([col[c] for c in values[v][0]], dtype=np.intp)
+                            for v in rows]
+        self._width = len(reached) + self.n_noise
+        self._scatter = np.concatenate([r * self._width + cols for r, cols in enumerate(
+            self.row_support)] + [np.zeros(0, dtype=np.intp)])
 
     def run(self, gains):
-        """Batched execution with structural column pruning applied."""
-        h, g = self._execute(gains)
-        return h[:, :, self.kept_cols], g
+        """Run the program; gains has shape (n_edges, batch).
+
+        Returns (h, g) with shapes (batch, kept rows, kept columns) and
+        (batch, kept rows, n_noise). Each step adds its terms in the
+        program's order on compact (support, batch) arrays, so every
+        entry is the same sum of the same products as a dense replay.
+        """
+        batch = gains.shape[1]
+        vals = {}
+        for v, size, terms, noise, frees in self._steps:
+            acc = np.zeros((size, batch), dtype=complex)
+            for src, gidx, where in terms:
+                if src is None:
+                    acc[where] += gains[gidx]
+                else:
+                    acc[where] += gains[gidx] * vals[src]
+            if noise:
+                acc[-1] += 1.0
+            vals[v] = acc
+            for u in frees:
+                del vals[u]
+        out = np.zeros((batch, len(self._row_values) * self._width), dtype=complex)
+        if self._scatter.size:
+            out[:, self._scatter] = np.concatenate(
+                [vals[v] for v in self._row_values]).T
+        out = out.reshape(batch, len(self._row_values), self._width)
+        kept = len(self.kept_cols)
+        return out[:, :, :kept], out[:, :, kept:]
 
     def gain_vector(self, fading: FadingRealization, batch: int = 1):
         vec = np.empty((self.n_edges, batch), dtype=complex)

@@ -161,24 +161,76 @@ def _batched_whitened_sv(h, g):
     return np.linalg.svd(np.linalg.solve(L, h), compute_uv=False)
 
 
-def _identity_sv(h, g):
-    return np.linalg.svd(h, compute_uv=False)
+def _row_blocks(prog: PropagationProgram) -> list:
+    """Independent row blocks of the program's channel, grouped by shape.
+
+    Rows join a block when they share an H or G column, so after a
+    permutation H, G and sigma are block diagonal and the whitened
+    spectrum is the union of the blocks' spectra. Returns per shape the
+    (m, r) rows, (m, nh) H columns and (m, ng) G columns of its m blocks.
+    """
+    root = list(range(len(prog.row_support)))
+
+    def find(r):
+        while root[r] != r:
+            root[r] = r = root[root[r]]
+        return r
+
+    owner = {}
+    for r, cols in enumerate(prog.row_support):
+        for c in cols.tolist():
+            root[find(r)] = find(owner.setdefault(c, r))
+    members, groups, kept = {}, {}, len(prog.kept_cols)
+    for r in range(len(root)):
+        members.setdefault(find(r), []).append(r)
+    for rows in members.values():
+        cols = np.unique(np.concatenate([prog.row_support[r] for r in rows]))
+        h_cols, g_cols = cols[cols < kept], cols[cols >= kept] - kept
+        groups.setdefault((len(rows), h_cols.size, g_cols.size), []).append(
+            (rows, h_cols, g_cols))
+    return [tuple(map(np.array, zip(*bs))) for bs in groups.values()]
+
+
+def _block_sv2(h, g, blocks, whiten):
+    """Squared singular values of the (whitened) channel, block by block.
+
+    Single-row blocks are closed form, |h|^2 / (1 + |g|^2); larger ones
+    go through batched Cholesky, solve and SVD. Returns (batch, n).
+    """
+    out = [np.zeros((h.shape[0], 0))]
+    for rows, h_cols, g_cols in blocks:
+        hb = h[:, rows[:, :, None], h_cols[:, None, :]]      # (batch, m, r, nh)
+        gb = g[:, rows[:, :, None], g_cols[:, None, :]]
+        if rows.shape[1] == 1:
+            sv2 = (hb.real**2 + hb.imag**2).sum(axis=(2, 3))
+            if whiten:
+                sv2 = sv2 / (1.0 + (gb.real**2 + gb.imag**2).sum(axis=(2, 3)))
+        else:
+            if whiten:
+                sigma = gb @ np.conj(np.swapaxes(gb, -1, -2)) + np.eye(rows.shape[1])
+                hb = np.linalg.solve(np.linalg.cholesky(sigma), hb)
+            sv2 = np.linalg.svd(hb, compute_uv=False) ** 2
+        out.append(sv2.reshape(len(sv2), -1))
+    return np.concatenate(out, axis=1)
 
 
 def _sweep_arms(sched: Schedule, plan: SimPlan, arms) -> list:
     """Score every arm on one seeded stream of fading draws.
 
-    An arm is ``(program, columns, spectra)``: the program runs once per
-    batch on the shared draw, restricted to ``columns`` (the rows of the
-    draw it reads, or None for all of them), and each spectrum maps the
-    batch's (h, g) to the singular values that score it. Returns one
-    SweepResult per (arm, spectrum), in order.
+    An arm is ``(program, columns, whitenings)``: the program runs once
+    per batch on the shared draw, restricted to ``columns`` (the rows of
+    the draw it reads, or None for all of them), and each entry of
+    ``whitenings`` scores the batch once, with the true noise covariance
+    (True) or the identity (False). Scoring splits the channel into its
+    independent row blocks, found once per program from the kept rows'
+    supports. Returns one SweepResult per (arm, whitening), in order.
     """
     n_edges = arms[0][0].n_edges
-    tallies = []                  # per arm: thresholds, counts per spectrum
-    for prog, _, spectra in arms:
+    tallies = []                  # per arm: blocks, thresholds, counts per scoring
+    for prog, _, whitenings in arms:
         thr = _thresholds(plan, sched, len(prog.kept_rows))
-        tallies.append((thr, [dict.fromkeys(thr, 0) for _ in spectra]))
+        tallies.append((_row_blocks(prog), thr,
+                        [dict.fromkeys(thr, 0) for _ in whitenings]))
 
     children = np.random.SeedSequence(plan.seed).spawn(
         -(-plan.trials // plan.batch))
@@ -186,17 +238,17 @@ def _sweep_arms(sched: Schedule, plan: SimPlan, arms) -> list:
         b = min(plan.batch, plan.trials - k * plan.batch)
         rng = np.random.default_rng(child)
         gains = _draw_gains(rng, n_edges, plan.batch)[:, :b]
-        for (prog, cols, spectra), (thr, counts) in zip(arms, tallies):
+        for (prog, cols, whitenings), (blocks, thr, counts) in zip(arms, tallies):
             h, g = prog.run(gains if cols is None else gains[cols])
-            for spectrum, count in zip(spectra, counts):
-                sv2 = spectrum(h, g) ** 2
+            for whiten, count in zip(whitenings, counts):
+                sv2 = _block_sv2(h, g, blocks, whiten)
                 for db in plan.snr_db:
                     bits = np.log2(1.0 + 10.0 ** (db / 10.0) * sv2).sum(axis=1)
                     for r in plan.rates:
                         count[(db, r)] += int((bits < thr[(db, r)]).sum())
 
     results = []
-    for (prog, _, _), (_, counts) in zip(arms, tallies):
+    for (prog, _, _), (_, _, counts) in zip(arms, tallies):
         for count in counts:
             est = {(db, r): OutageEstimate(db, r, count[(db, r)], plan.trials)
                    for db in plan.snr_db for r in plan.rates}
@@ -216,7 +268,7 @@ def outage_sweep(net: Network, sched: Schedule, plan: SimPlan) -> SweepResult:
     falls below the rate budget of the cell.
     """
     prog = PropagationProgram(net, sched, plan.cycles)
-    return _sweep_arms(sched, plan, [(prog, None, (_batched_whitened_sv,))])[0]
+    return _sweep_arms(sched, plan, [(prog, None, (True,))])[0]
 
 
 @dataclass(frozen=True)
@@ -240,7 +292,7 @@ def whitening_check(net: Network, sched: Schedule, plan: SimPlan) -> PairedSweep
     amplified-noise correction matters at these SNRs."""
     prog = PropagationProgram(net, sched, plan.cycles)
     return PairedSweep(*_sweep_arms(sched, plan, [
-        (prog, None, (_batched_whitened_sv, _identity_sv))]))
+        (prog, None, (True, False))]))
 
 
 def backflow_check(net: Network, sched: Schedule, plan: SimPlan) -> PairedSweep:
@@ -260,6 +312,5 @@ def backflow_check(net: Network, sched: Schedule, plan: SimPlan) -> PairedSweep:
     # the twin's edges are a subset; reuse the same per-edge draws
     cols = [prog.edge_index[pair] for pair in sorted(twin.edge_set)]
     return PairedSweep(*_sweep_arms(sched, plan, [
-        (prog, None, (_batched_whitened_sv,)),
-        (PropagationProgram(twin, sched, plan.cycles), cols,
-         (_batched_whitened_sv,))]))
+        (prog, None, (True,)),
+        (PropagationProgram(twin, sched, plan.cycles), cols, (True,))]))

@@ -395,26 +395,36 @@ class _Dinic:
             if level[t] < 0:
                 return flow
             it = [0] * self.n
-
-            def dfs(u, pushed):
-                if u == t:
-                    return pushed
-                while it[u] < len(self.adj[u]):
-                    v, cap, rev = self.adj[u][it[u]]
-                    if cap > 0 and level[v] == level[u] + 1:
-                        got = dfs(v, min(pushed, cap))
-                        if got:
-                            self.adj[u][it[u]][1] -= got
-                            self.adj[v][rev][1] += got
-                            return got
-                    it[u] += 1
-                return 0
-
-            while True:
-                pushed = dfs(s, 1 << 30)
-                if not pushed:
-                    break
+            while pushed := self._augment(s, t, level, it):
                 flow += pushed
+
+    def _augment(self, s, t, level, it):
+        """Push along one level-graph path, found with an explicit stack
+        and the current-arc pointers ``it``; a dead end advances its
+        parent's pointer. Returns the amount pushed (0 when none is left)."""
+        path = []                 # nodes whose current arc leads to the next
+        u = s
+        while u != t:
+            arcs = self.adj[u]
+            while it[u] < len(arcs):
+                v, cap, _ = arcs[it[u]]
+                if cap > 0 and level[v] == level[u] + 1:
+                    break
+                it[u] += 1
+            if it[u] < len(arcs):
+                path.append(u)
+                u = arcs[it[u]][0]
+            elif path:
+                u = path.pop()
+                it[u] += 1
+            else:
+                return 0
+        pushed = min(self.adj[w][it[w]][1] for w in path)
+        for w in path:
+            arc = self.adj[w][it[w]]
+            arc[1] -= pushed
+            self.adj[arc[0]][arc[2]][1] += pushed
+        return pushed
 
 
 def _flow_network(net: Network):

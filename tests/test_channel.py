@@ -8,6 +8,8 @@ bookkeeping at machine precision.
 """
 
 import dataclasses
+import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -212,6 +214,54 @@ def test_batched_run_matches_single_draws():
         np.testing.assert_allclose(h[k], model.h, rtol=1e-12)
         np.testing.assert_allclose(np.eye(h[k].shape[0]) + g[k] @ g[k].conj().T,
                                    model.sigma, rtol=1e-12)
+
+
+# Digests of run() on seeded 3-draw batches, recorded from the dense
+# register replay that preceded support-sparse propagation: every entry
+# of H and G must keep its exact bits, including KPP(4,5) at 8 cycles
+# (entries near 2e12) and the buffered FIFO paths of KPP(D), SAF and NAF.
+PINNED_RUN_FAMILIES = {
+    "kpp45": lambda: kpp_network((4, 5)),
+    "kppD2342": lambda: kpp_network((2, 3, 4, 2), direct_link=True),
+    "saf3": lambda: saf_network(3),
+    "naf": naf_network,
+    "layered1231": lambda: layered_network((1, 2, 3, 1)),
+    "layered12221": lambda: layered_network((1, 2, 2, 2, 1)),
+    "kppI4": lambda: kpp_network((2, 3, 3, 4), cross_links=[((1, 1), (2, 1))]),
+}
+
+PINNED_RUN_SHA256 = {
+    "kpp45-c1": "fc1469cf5e9a9c927bfbe07b206f4b3f8f5130a76d6b98f5946882cca0119b9d",
+    "kpp45-c4": "a59d3e71bef0f997977a2d9632e9c1cf5d6ce36af576d231734e9d80a03b6235",
+    "kpp45-c8": "d2bbad375e84ae38633d87cbd10d71b8b30a28d4d8ffe84ba6db03a52e41b50e",
+    "kppD2342-c1": "1061062d5fac8ccd4d8817e8e211abec8233db9fdbd12a0bbdab2e8e527f3c46",
+    "kppD2342-c4": "92d063061b9779eafd3f0a345c7bddcddb33a174aa2672ea55a7d878a60386db",
+    "saf3-c1": "9b4051984a66854f5cf65df322f6f92f364c667e9a0b0749408185ed6edd2c88",
+    "saf3-c4": "56b3b1bc5451cb400e354d8b94a0a2342f78cacf9e011628fd7ab5eb4df552c9",
+    "naf-c1": "b460b0574c1a431ca90fd32b2f5d4afa02911d7367fade8bbf4b9b98749b866a",
+    "naf-c4": "90895bd22c0a762e6a9c5010517544063c62bf861ee951a6dfb824184af6d2b2",
+    "layered1231-c1": "bf67f4631b2181abfe5602acea55a0893b154d7c8bf1dd01f0fa810baffe44d0",
+    "layered1231-c4": "edd9006a4334eea542350c66d7c024001bb963ade38d176f1b0f04a50ab30431",
+    "layered12221-c1": "3e9f92d17628d0b7acc99aa33dd3824f446e74a5ae5449230be35f15098cc192",
+    "layered12221-c4": "4f15371dae0a41874c7542d533d64d8a1f414f3e43d8cdcb05f4e1870325204b",
+    "kppI4-c1": "1b7c803bd49633732c1d6e38d665e0411900c0fdb92a7bd9b7c2334200c8bf37",
+    "kppI4-c4": "7b0c9620c20d805c6e18e03be18c2251fc9e067f3be3c4818a7980ec0b4da30f",
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_RUN_SHA256))
+def test_run_matches_pinned_digest(case):
+    family, cycles = case.rsplit("-c", 1)
+    net = PINNED_RUN_FAMILIES[family]()
+    prog = PropagationProgram(net, auto_schedule(net), int(cycles))
+    z = np.random.default_rng(int(cycles)).standard_normal((2, prog.n_edges, 3))
+    h, g = prog.run((z[0] + 1j * z[1]) / np.sqrt(2.0))
+    blob = hashlib.sha256()
+    for part in (h, g):
+        blob.update(repr((part.dtype.str, part.shape)).encode())
+        blob.update(part.tobytes())
+    blob.update(json.dumps(prog.kept_cols).encode())
+    assert blob.hexdigest() == PINNED_RUN_SHA256[case]
 
 
 @pytest.mark.parametrize("label,mknet,mksched,cycles",

@@ -11,24 +11,37 @@ import numpy as np
 import pytest
 
 from relaydmt import (
+    Edge,
     FadingRealization,
+    Network,
+    Node,
     OutageEstimate,
+    PropagationProgram,
+    Schedule,
     SimPlan,
     auto_schedule,
     backflow_check,
     color_kpp_three,
     fit_slope,
     kpp_network,
+    layered_network,
     mutual_info,
     naf_network,
     naf_schedule,
     outage_sweep,
     propagate,
+    saf_network,
     single_link_network,
     single_link_schedule,
     whitening_check,
 )
-from relaydmt.montecarlo import _thresholds
+from relaydmt.montecarlo import (
+    _batched_whitened_sv,
+    _block_sv2,
+    _draw_gains,
+    _row_blocks,
+    _thresholds,
+)
 
 
 def det_information(h, snr, sigma=None):
@@ -235,3 +248,115 @@ def test_backflow_check_needs_backbone():
                        symbols_per_cycle=sched.symbols_per_cycle)
     with pytest.raises(ValueError, match="path decomposition"):
         backflow_check(net, bare, small_plan())
+
+
+# ---------------------------------------------------------------------------
+# block-wise scoring against the dense spectrum
+
+SCORED = {
+    "single": single_link_network,
+    "kpp234": lambda: kpp_network((2, 3, 4)),
+    "kppD2342": lambda: kpp_network((2, 3, 4, 2), direct_link=True),
+    "layered12221": lambda: layered_network((1, 2, 2, 2, 1)),
+    "kppI4": lambda: kpp_network((2, 3, 3, 4), cross_links=[((1, 1), (2, 1))]),
+    "kpp45": lambda: kpp_network((4, 5)),
+    "saf3": lambda: saf_network(3),
+    "naf": naf_network,
+}
+SCORED_DB = (10, 15, 20, 25, 30, 35, 40)
+# KPP(4,5) back-flow gains grow with the window: at 4 cycles I + G G^H is
+# not positive definite in floating point, and at 2 both scorers miss a
+# 50-digit reference by 1e-4 to 1e-3 of the bits. At 1 cycle forming
+# I + G G^H in double still costs both 1e-8 against that reference, so
+# the two can only be held to each other at 1e-9 on the whitened arm.
+SCORED_CYCLES = {"kpp45": 1}
+WHITENED_RTOL = {"kpp45": 1e-9}
+
+
+def _bits(sv2):
+    return np.array([np.log2(1.0 + 10.0 ** (db / 10.0) * sv2).sum(axis=1)
+                     for db in SCORED_DB])
+
+
+def _dense_sv2(h, g, whiten):
+    s = _batched_whitened_sv(h, g) if whiten else np.linalg.svd(h, compute_uv=False)
+    return s**2
+
+
+@pytest.mark.parametrize("family", sorted(SCORED))
+def test_block_scoring_matches_dense_spectrum(family):
+    net = SCORED[family]()
+    prog = PropagationProgram(net, auto_schedule(net), SCORED_CYCLES.get(family, 4))
+    h, g = prog.run(_draw_gains(np.random.default_rng(3), prog.n_edges, 16))
+    blocks = _row_blocks(prog)
+    for whiten in (True, False):
+        rtol = WHITENED_RTOL.get(family, 1e-12) if whiten else 1e-12
+        np.testing.assert_allclose(_bits(_block_sv2(h, g, blocks, whiten)),
+                                   _bits(_dense_sv2(h, g, whiten)), rtol=rtol)
+
+
+def _dense_counts(prog, sched, plan, whiten):
+    """The sweep's seeded draw stream, scored on the whole channel."""
+    thr = _thresholds(plan, sched, len(prog.kept_rows))
+    counts = dict.fromkeys(thr, 0)
+    children = np.random.SeedSequence(plan.seed).spawn(-(-plan.trials // plan.batch))
+    for k, child in enumerate(children):
+        b = min(plan.batch, plan.trials - k * plan.batch)
+        gains = _draw_gains(np.random.default_rng(child), prog.n_edges, plan.batch)
+        bits = _bits(_dense_sv2(*prog.run(gains[:, :b]), whiten))
+        for i, db in enumerate(plan.snr_db):
+            for r in plan.rates:
+                counts[(db, r)] += int((bits[i] < thr[(db, r)]).sum())
+    return counts
+
+
+@pytest.mark.parametrize("family", sorted(set(SCORED) - {"kppI4"}))
+def test_block_scoring_keeps_every_outage_count(family):
+    # the dense oracle needs about 15 s for KPP(I) K=4 at 700 draws, so
+    # its agreement is left to the spectrum test above
+    net = SCORED[family]()
+    sched = auto_schedule(net)
+    plan = small_plan(snr_db=SCORED_DB, rates=(0.0, 0.25, 0.5), trials=700,
+                      batch=256, cycles=SCORED_CYCLES.get(family, 4))
+    prog = PropagationProgram(net, sched, plan.cycles)
+    pair = whitening_check(net, sched, plan)
+    for result, whiten in ((pair.first, True), (pair.second, False)):
+        want = _dense_counts(prog, sched, plan, whiten)
+        assert {k: e.outages for k, e in result.estimates.items()} == want
+
+
+@pytest.mark.parametrize("family,sizes", [
+    ("kpp234", [1] * 12),
+    ("kppD2342", [6, 5, 5]),
+    ("layered12221", [4, 4]),
+])
+def test_row_blocks_of_the_bench_families(family, sizes):
+    net = SCORED[family]()
+    blocks = _row_blocks(PropagationProgram(net, auto_schedule(net), 4))
+    got = [r for rows, _, _ in blocks for r in [rows.shape[1]] * len(rows)]
+    assert sorted(got, reverse=True) == sizes
+
+
+def test_row_blocks_of_kppI4():
+    net = SCORED["kppI4"]()
+    blocks = _row_blocks(PropagationProgram(net, auto_schedule(net), 4))
+    got = [r for rows, _, _ in blocks for r in [rows.shape[1]] * len(rows)]
+    assert (len(got), max(got), sum(got)) == (81, 13, 192)
+
+
+def test_rows_sharing_only_relay_noise_form_one_block():
+    # relay a hears only w, which never receives, so a stores pure noise
+    # and forwards it in two slots: those two sink rows share a G column
+    # and no H column, and scoring them apart would ignore the correlation
+    net = Network([Node("s", "source"), Node("w"), Node("a"), Node("d", "sink")],
+                  [Edge("s", "d"), Edge("w", "a"), Edge("a", "d")])
+    sched = Schedule(cycle_length=3, symbols_per_cycle=2,
+                     activations={("w", "a"): frozenset({0}),
+                                  ("a", "d"): frozenset({1, 2}),
+                                  ("s", "d"): frozenset({1, 2})})
+    prog = PropagationProgram(net, sched, 2)
+    blocks = _row_blocks(prog)
+    assert [(rows.shape, h_cols.shape) for rows, h_cols, _ in blocks] == [((2, 2), (2, 2))]
+    h, g = prog.run(_draw_gains(np.random.default_rng(5), prog.n_edges, 16))
+    np.testing.assert_allclose(_bits(_block_sv2(h, g, blocks, True)),
+                               _bits(_dense_sv2(h, g, True)), rtol=1e-12)

@@ -159,6 +159,13 @@ def test_known_cut_values():
     assert min_cut(layered_network((1, 3, 2, 1))) == 2
 
 
+def test_flow_on_long_paths_needs_no_recursion():
+    # 3600 relays: one augmenting path is longer than the recursion limit
+    net = kpp_network((1200,) * 3)
+    assert min_cut(net) == 3
+    assert len(edge_disjoint_paths(net)) == 3
+
+
 # ---------------------------------------------------------------------------
 # classification
 
