@@ -94,12 +94,14 @@ class PropagationProgram:
     """Slot-by-slot instruction list for one (net, sched, cycles).
 
     Compiling once and running over many gain draws is what makes the
-    outage sweeps affordable: ``run`` takes a (n_edges, batch) gain
-    array and returns stacked H and G for the whole batch. Compilation
-    fixes each value's support, so ``kept_cols`` (symbols some kept row
-    reaches) and ``row_support`` (the [h | g] columns of each kept row,
-    from which independent row blocks follow) are structural, not
-    measured on a draw.
+    outage sweeps affordable. Both outputs come from one replay of a
+    (n_edges, batch) gain array: ``row_values`` gives the kept rows'
+    compact values, which the sweeps score, and ``run`` scatters them
+    into stacked dense H and G. Compilation fixes each value's support,
+    so ``kept_cols`` (symbols some kept row reaches) and ``row_support``
+    (the [h | g] columns of each kept row, in its value's layout, from
+    which independent row blocks follow) are structural, not measured on
+    a draw.
     """
 
     def __init__(self, net: Network, sched: Schedule, cycles: int):
@@ -260,13 +262,14 @@ class PropagationProgram:
         self._scatter = np.concatenate([r * self._width + cols for r, cols in enumerate(
             self.row_support)] + [np.zeros(0, dtype=np.intp)])
 
-    def run(self, gains):
-        """Run the program; gains has shape (n_edges, batch).
+    def row_values(self, gains):
+        """Replay the program; gains has shape (n_edges, batch).
 
-        Returns (h, g) with shapes (batch, kept rows, kept columns) and
-        (batch, kept rows, n_noise). Each step adds its terms in the
-        program's order on compact (support, batch) arrays, so every
-        entry is the same sum of the same products as a dense replay.
+        Returns the kept rows' values concatenated in row order, one
+        (sum of row support sizes, batch) array, each row laid out as its
+        ``row_support``. Each step adds its terms in the program's order
+        on compact (support, batch) arrays, so every entry is the same
+        sum of the same products as a dense replay.
         """
         batch = gains.shape[1]
         vals = {}
@@ -282,10 +285,15 @@ class PropagationProgram:
             vals[v] = acc
             for u in frees:
                 del vals[u]
+        return np.concatenate([vals[v] for v in self._row_values]
+                              + [np.zeros((0, batch), dtype=complex)])
+
+    def run(self, gains):
+        """``row_values`` scattered into dense (h, g) with shapes
+        (batch, kept rows, kept columns) and (batch, kept rows, n_noise)."""
+        batch = gains.shape[1]
         out = np.zeros((batch, len(self._row_values) * self._width), dtype=complex)
-        if self._scatter.size:
-            out[:, self._scatter] = np.concatenate(
-                [vals[v] for v in self._row_values]).T
+        out[:, self._scatter] = self.row_values(gains).T
         out = out.reshape(batch, len(self._row_values), self._width)
         kept = len(self.kept_cols)
         return out[:, :, :kept], out[:, :, kept:]

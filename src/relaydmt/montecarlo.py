@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import PropagationProgram, TransferModel
+from .channel import PropagationError, PropagationProgram, TransferModel
 from .netgraph import Network
 from .protocol import Schedule
 
@@ -167,7 +167,10 @@ def _row_blocks(prog: PropagationProgram) -> list:
     Rows join a block when they share an H or G column, so after a
     permutation H, G and sigma are block diagonal and the whitened
     spectrum is the union of the blocks' spectra. Returns per shape the
-    (m, r) rows, (m, nh) H columns and (m, ng) G columns of its m blocks.
+    (m, r) rows, (m, nh) H columns and (m, ng) G columns of its m
+    blocks, and the (m, r, nh) and (m, r, ng) positions of those entries
+    in ``prog.row_values``, where a structural zero points one past the
+    end, at the zero row ``_block_sv2`` appends.
     """
     root = list(range(len(prog.row_support)))
 
@@ -180,27 +183,39 @@ def _row_blocks(prog: PropagationProgram) -> list:
     for r, cols in enumerate(prog.row_support):
         for c in cols.tolist():
             root[find(r)] = find(owner.setdefault(c, r))
+    start = np.cumsum([0] + [cols.size for cols in prog.row_support])
     members, groups, kept = {}, {}, len(prog.kept_cols)
     for r in range(len(root)):
         members.setdefault(find(r), []).append(r)
     for rows in members.values():
         cols = np.unique(np.concatenate([prog.row_support[r] for r in rows]))
-        h_cols, g_cols = cols[cols < kept], cols[cols >= kept] - kept
-        groups.setdefault((len(rows), h_cols.size, g_cols.size), []).append(
-            (rows, h_cols, g_cols))
+        idx = np.full((len(rows), cols.size), start[-1])
+        for i, r in enumerate(rows):
+            idx[i, np.searchsorted(cols, prog.row_support[r])] = np.arange(
+                start[r], start[r + 1])
+        nh = int((cols < kept).sum())
+        groups.setdefault((len(rows), nh, cols.size - nh), []).append(
+            (rows, cols[:nh], cols[nh:] - kept, idx[:, :nh], idx[:, nh:]))
     return [tuple(map(np.array, zip(*bs))) for bs in groups.values()]
 
 
-def _block_sv2(h, g, blocks, whiten):
+def _block_sv2(vals, blocks, whiten):
     """Squared singular values of the (whitened) channel, block by block.
 
-    Single-row blocks are closed form, |h|^2 / (1 + |g|^2); larger ones
-    go through batched Cholesky, solve and SVD. Returns (batch, n).
+    ``vals`` are a program's ``row_values`` and ``blocks`` its
+    ``_row_blocks``; each shape group's H and G come out of them with one
+    take each. Single-row blocks are closed form, |h|^2 / (1 + |g|^2);
+    larger ones go through batched Cholesky, solve and SVD, and a noise
+    covariance that is not positive definite in double raises
+    PropagationError. Returns (batch, n).
     """
-    out = [np.zeros((h.shape[0], 0))]
-    for rows, h_cols, g_cols in blocks:
-        hb = h[:, rows[:, :, None], h_cols[:, None, :]]      # (batch, m, r, nh)
-        gb = g[:, rows[:, :, None], g_cols[:, None, :]]
+    vals = np.concatenate([vals, np.zeros((1, vals.shape[1]))])
+    out = [np.zeros((vals.shape[1], 0))]
+    for rows, _, _, h_idx, g_idx in blocks:
+        # (batch, m, r, nh) with the batch fastest in memory, the layout of
+        # a gather from dense H, which fixes the summation order below
+        hb = np.moveaxis(vals[h_idx], -1, 0)
+        gb = np.moveaxis(vals[g_idx], -1, 0)
         if rows.shape[1] == 1:
             sv2 = (hb.real**2 + hb.imag**2).sum(axis=(2, 3))
             if whiten:
@@ -208,7 +223,14 @@ def _block_sv2(h, g, blocks, whiten):
         else:
             if whiten:
                 sigma = gb @ np.conj(np.swapaxes(gb, -1, -2)) + np.eye(rows.shape[1])
-                hb = np.linalg.solve(np.linalg.cholesky(sigma), hb)
+                try:
+                    chol = np.linalg.cholesky(sigma)
+                except np.linalg.LinAlgError:
+                    raise PropagationError(
+                        f"noise covariance of a {rows.shape[1]}-row block is not "
+                        f"positive definite in double (max|G| = "
+                        f"{np.abs(gb).max():.3g}); fewer cycles may help") from None
+                hb = np.linalg.solve(chol, hb)
             sv2 = np.linalg.svd(hb, compute_uv=False) ** 2
         out.append(sv2.reshape(len(sv2), -1))
     return np.concatenate(out, axis=1)
@@ -217,13 +239,14 @@ def _block_sv2(h, g, blocks, whiten):
 def _sweep_arms(sched: Schedule, plan: SimPlan, arms) -> list:
     """Score every arm on one seeded stream of fading draws.
 
-    An arm is ``(program, columns, whitenings)``: the program runs once
-    per batch on the shared draw, restricted to ``columns`` (the rows of
-    the draw it reads, or None for all of them), and each entry of
-    ``whitenings`` scores the batch once, with the true noise covariance
-    (True) or the identity (False). Scoring splits the channel into its
-    independent row blocks, found once per program from the kept rows'
-    supports. Returns one SweepResult per (arm, whitening), in order.
+    An arm is ``(program, columns, whitenings)``: the program replays
+    once per batch on the shared draw, restricted to ``columns`` (the
+    rows of the draw it reads, or None for all of them), and each entry
+    of ``whitenings`` scores the batch once, with the true noise
+    covariance (True) or the identity (False). Scoring reads the kept
+    rows' compact ``row_values`` block by block, through gather indices
+    found once per program from the kept rows' supports; no dense H or G
+    is built. Returns one SweepResult per (arm, whitening), in order.
     """
     n_edges = arms[0][0].n_edges
     tallies = []                  # per arm: blocks, thresholds, counts per scoring
@@ -239,9 +262,9 @@ def _sweep_arms(sched: Schedule, plan: SimPlan, arms) -> list:
         rng = np.random.default_rng(child)
         gains = _draw_gains(rng, n_edges, plan.batch)[:, :b]
         for (prog, cols, whitenings), (blocks, thr, counts) in zip(arms, tallies):
-            h, g = prog.run(gains if cols is None else gains[cols])
+            vals = prog.row_values(gains if cols is None else gains[cols])
             for whiten, count in zip(whitenings, counts):
-                sv2 = _block_sv2(h, g, blocks, whiten)
+                sv2 = _block_sv2(vals, blocks, whiten)
                 for db in plan.snr_db:
                     bits = np.log2(1.0 + 10.0 ** (db / 10.0) * sv2).sum(axis=1)
                     for r in plan.rates:

@@ -686,19 +686,26 @@ def _intermediate_direct_links(net: Network, path):
 
 
 def _has_cycle(net: Network) -> bool:
-    state = {}
-
-    def visit(u):
-        state[u] = 1
-        for v in net.out_neighbors[u]:
-            if state.get(v) == 1:
-                return True
-            if v not in state and visit(v):
-                return True
-        state[u] = 2
-        return False
-
-    return any(visit(n.id) for n in net.nodes if n.id not in state)
+    """Depth-first search for a directed cycle, on an explicit stack."""
+    state = {}                    # 1 while on the stack, 2 once finished
+    for n in net.nodes:
+        if n.id in state:
+            continue
+        state[n.id] = 1
+        stack = [(n.id, iter(net.out_neighbors[n.id]))]
+        while stack:
+            u, todo = stack[-1]
+            for v in todo:
+                if state.get(v) == 1:
+                    return True
+                if v not in state:
+                    state[v] = 1
+                    stack.append((v, iter(net.out_neighbors[v])))
+                    break
+            else:
+                state[u] = 2
+                stack.pop()
+    return False
 
 
 def fd_schedule(net: Network, T=None, rounds=1) -> Schedule:

@@ -6,6 +6,7 @@ SNR, whitened-versus-identity ordering).
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from relaydmt import (
     Network,
     Node,
     OutageEstimate,
+    PropagationError,
     PropagationProgram,
     Schedule,
     SimPlan,
@@ -287,12 +289,66 @@ def _dense_sv2(h, g, whiten):
 def test_block_scoring_matches_dense_spectrum(family):
     net = SCORED[family]()
     prog = PropagationProgram(net, auto_schedule(net), SCORED_CYCLES.get(family, 4))
-    h, g = prog.run(_draw_gains(np.random.default_rng(3), prog.n_edges, 16))
-    blocks = _row_blocks(prog)
+    gains = _draw_gains(np.random.default_rng(3), prog.n_edges, 16)
+    h, g = prog.run(gains)
+    vals, blocks = prog.row_values(gains), _row_blocks(prog)
     for whiten in (True, False):
         rtol = WHITENED_RTOL.get(family, 1e-12) if whiten else 1e-12
-        np.testing.assert_allclose(_bits(_block_sv2(h, g, blocks, whiten)),
+        np.testing.assert_allclose(_bits(_block_sv2(vals, blocks, whiten)),
                                    _bits(_dense_sv2(h, g, whiten)), rtol=rtol)
+
+
+def _gathered_sv2(h, g, blocks, whiten):
+    """The block scorer fed from dense ``run`` output instead of row values."""
+    out = [np.zeros((h.shape[0], 0))]
+    for rows, h_cols, g_cols, _, _ in blocks:
+        hb = h[:, rows[:, :, None], h_cols[:, None, :]]      # (batch, m, r, nh)
+        gb = g[:, rows[:, :, None], g_cols[:, None, :]]
+        if rows.shape[1] == 1:
+            sv2 = (hb.real**2 + hb.imag**2).sum(axis=(2, 3))
+            if whiten:
+                sv2 = sv2 / (1.0 + (gb.real**2 + gb.imag**2).sum(axis=(2, 3)))
+        else:
+            if whiten:
+                sigma = gb @ np.conj(np.swapaxes(gb, -1, -2)) + np.eye(rows.shape[1])
+                hb = np.linalg.solve(np.linalg.cholesky(sigma), hb)
+            sv2 = np.linalg.svd(hb, compute_uv=False) ** 2
+        out.append(sv2.reshape(len(sv2), -1))
+    return np.concatenate(out, axis=1)
+
+
+@pytest.mark.parametrize("family", sorted(SCORED))
+def test_compact_scoring_is_bit_identical_to_dense_gather(family):
+    net = SCORED[family]()
+    prog = PropagationProgram(net, auto_schedule(net), SCORED_CYCLES.get(family, 4))
+    gains = _draw_gains(np.random.default_rng(4), prog.n_edges, 16)
+    h, g = prog.run(gains)
+    vals, blocks = prog.row_values(gains), _row_blocks(prog)
+    for whiten in (True, False):
+        assert np.array_equal(_block_sv2(vals, blocks, whiten),
+                              _gathered_sv2(h, g, blocks, whiten))
+
+
+def test_kpp45_unwhitenable_covariance_is_a_library_error():
+    # at 4 cycles KPP(4,5) back-flow gains reach 1e9 and I + G G^H loses
+    # its identity in double; the sweep must say so in its own terms
+    net = kpp_network((4, 5))
+    with pytest.raises(PropagationError, match="not positive definite.*fewer cycles"):
+        outage_sweep(net, auto_schedule(net), SimPlan(trials=256, seed=0))
+
+
+def test_kppI4_sweep_builds_no_dense_channel():
+    # a dense (256, 192, 192) H and (256, 192, 480) G alone take 528 MB
+    net = SCORED["kppI4"]()
+    sched = auto_schedule(net)
+    plan = SimPlan(snr_db=(10, 20, 30, 40), rates=(0.25,), trials=256, seed=0)
+    tracemalloc.start()
+    try:
+        outage_sweep(net, sched, plan)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
 
 
 def _dense_counts(prog, sched, plan, whiten):
@@ -333,14 +389,14 @@ def test_block_scoring_keeps_every_outage_count(family):
 def test_row_blocks_of_the_bench_families(family, sizes):
     net = SCORED[family]()
     blocks = _row_blocks(PropagationProgram(net, auto_schedule(net), 4))
-    got = [r for rows, _, _ in blocks for r in [rows.shape[1]] * len(rows)]
+    got = [r for rows, *_ in blocks for r in [rows.shape[1]] * len(rows)]
     assert sorted(got, reverse=True) == sizes
 
 
 def test_row_blocks_of_kppI4():
     net = SCORED["kppI4"]()
     blocks = _row_blocks(PropagationProgram(net, auto_schedule(net), 4))
-    got = [r for rows, _, _ in blocks for r in [rows.shape[1]] * len(rows)]
+    got = [r for rows, *_ in blocks for r in [rows.shape[1]] * len(rows)]
     assert (len(got), max(got), sum(got)) == (81, 13, 192)
 
 
@@ -356,7 +412,7 @@ def test_rows_sharing_only_relay_noise_form_one_block():
                                   ("s", "d"): frozenset({1, 2})})
     prog = PropagationProgram(net, sched, 2)
     blocks = _row_blocks(prog)
-    assert [(rows.shape, h_cols.shape) for rows, h_cols, _ in blocks] == [((2, 2), (2, 2))]
-    h, g = prog.run(_draw_gains(np.random.default_rng(5), prog.n_edges, 16))
-    np.testing.assert_allclose(_bits(_block_sv2(h, g, blocks, True)),
-                               _bits(_dense_sv2(h, g, True)), rtol=1e-12)
+    assert [(rows.shape, h_cols.shape) for rows, h_cols, *_ in blocks] == [((2, 2), (2, 2))]
+    gains = _draw_gains(np.random.default_rng(5), prog.n_edges, 16)
+    np.testing.assert_allclose(_bits(_block_sv2(prog.row_values(gains), blocks, True)),
+                               _bits(_dense_sv2(*prog.run(gains), True)), rtol=1e-12)

@@ -11,6 +11,7 @@ import pytest
 
 from relaydmt import (
     DelaySearchError,
+    Edge,
     Network,
     Node,
     PathSet,
@@ -45,6 +46,7 @@ from relaydmt import (
     two_hop_network,
     validate_orthogonal,
 )
+from relaydmt.protocol import _has_cycle
 
 
 # ---------------------------------------------------------------------------
@@ -457,3 +459,13 @@ def test_file_round_trip(tmp_path):
 def test_malformed_description_is_a_scheduling_error():
     with pytest.raises(SchedulingError):
         schedule_from_dict({"activations": []})
+
+
+def test_cycle_search_on_a_long_chain_needs_no_recursion():
+    # 2000 relays in a one-way chain: deeper than the recursion limit
+    ids = ["s"] + [f"r{i}" for i in range(2000)] + ["d"]
+    nodes = ([Node("s", "source")] + [Node(u) for u in ids[1:-1]]
+             + [Node("d", "sink")])
+    chain = [Edge(a, b) for a, b in zip(ids, ids[1:])]
+    assert not _has_cycle(Network(nodes, chain))
+    assert _has_cycle(Network(nodes, chain + [Edge("r1999", "r0")]))
