@@ -66,7 +66,10 @@ class TransferModel:
     slot in which symbol j entered the source; ``output_slots[i]`` is
     the absolute slot of sink reception i. ``total_slots`` counts the
     whole window including the discarded start-up, which is what rate
-    accounting must divide by.
+    accounting must divide by. ``program`` is the compiled
+    ``PropagationProgram`` that produced h and noise from ``fading``; it
+    carries the network, schedule and cycle count, and later analysis
+    reruns it instead of compiling again.
     """
 
     h: np.ndarray
@@ -76,10 +79,8 @@ class TransferModel:
     output_slots: tuple
     total_slots: int
     cycle_length: int
-    n_cycles: int
-    net: Network = None
-    sched: Schedule = None
-    fading: FadingRealization = None
+    program: PropagationProgram
+    fading: FadingRealization
 
     @property
     def n_rows(self):
@@ -94,7 +95,9 @@ class PropagationProgram:
     """Slot-by-slot instruction list for one (net, sched, cycles).
 
     Compiling once and running over many gain draws is what makes the
-    outage sweeps affordable. Both outputs come from one replay of a
+    outage sweeps affordable. The constructor validates the schedule
+    against the network and compiles in one walk over the window. Both
+    outputs come from one replay of a
     (n_edges, batch) gain array: ``row_values`` gives the kept rows'
     compact values, which the sweeps score, and ``run`` scatters them
     into stacked dense H and G. Compilation fixes each value's support,
@@ -115,7 +118,6 @@ class PropagationProgram:
         self.total_slots = D + cycles * N
         self.keep_from = D
 
-        sid, did = net.source.id, net.sink.id
         tx = {n.id: set() for n in net.nodes}
         rx = {n.id: set() for n in net.nodes}
         for (tail, head), slots in sched.activations.items():
@@ -123,7 +125,7 @@ class PropagationProgram:
                 raise PropagationError(f"schedule uses missing edge {(tail, head)}")
             tx[tail] |= slots
             rx[head] |= slots
-        if rx[sid]:
+        if rx[net.source.id]:
             raise PropagationError("source is scheduled to receive")
         for n in net.nodes:
             clash = tx[n.id] & rx[n.id]
@@ -136,60 +138,28 @@ class PropagationProgram:
         self.edge_index = {pair: i for i, pair in enumerate(sorted(net.edge_set))}
         self.n_edges = len(self.edge_index)
         self.buffered = dict(sched.buffer_primes)
+        self._compile(tx, rx)
 
-        # one pass over the window, recording everything that happens
-        self.injections = []      # (slot, symbol index)
-        slot_ops = []             # per slot: (sym_idx | None, recvs, row | None)
-        n_sym = 0
-        n_noise = 0
-        self.rows = []            # absolute slot per sink row, in order
-        for t in range(self.total_slots):
-            s = t % N
-            talkers = {u for u in tx if s in tx[u]}
-            sym_idx = None
-            if sid in talkers:
-                sym_idx = n_sym
-                n_sym += 1
-                self.injections.append((t, sym_idx))
-            recvs = []
-            row = None
-            for n in net.nodes:
-                u = n.id
-                if s not in rx[u]:
-                    continue
-                terms = []
-                for w in net.in_neighbors[u]:
-                    if w not in talkers:
-                        continue
-                    gidx = self.edge_index[(w, u)]
-                    if w == sid:
-                        terms.append(("sym", sym_idx, gidx))
-                    else:
-                        terms.append(("reg", w, gidx))
-                if u == did:
-                    row = (t, terms)
-                    self.rows.append(t)
-                else:
-                    recvs.append((u, terms, n_noise))
-                    n_noise += 1
-            slot_ops.append((sym_idx, recvs, row))
-        self.n_symbols = n_sym
-        self.n_noise = n_noise
-        self.kept_rows = [i for i, t in enumerate(self.rows) if t >= self.keep_from]
-        self._compile(slot_ops)
+    def _compile(self, tx, rx):
+        """Walk the window once, over structural supports.
 
-    def _compile(self, slot_ops):
-        """Walk the slots once over structural supports.
-
-        A value a relay stores or the sink hears sums gain times earlier
-        values, so its support (the symbol columns 0..n_symbols-1 and
-        noise columns n_symbols + k it reaches) is the union of theirs.
-        Its layout is the first term's support, then each later term's
-        new columns, then its own noise column; each term records where
-        its source lands, as a slice when contiguous. Registers and FIFOs
-        are resolved here, so ``run`` only replays the steps kept rows
-        depend on.
+        Each slot pulls every talking register once (FIFO pops included),
+        then builds the value each listener hears. That value sums gain
+        times earlier values, so its support (the symbol columns
+        0..n_symbols-1 and noise columns n_symbols + k it reaches) is the
+        union of theirs. Its layout is the first term's support, then each
+        later term's new columns, then its own noise column; each term
+        records where its source lands, as a slice when contiguous. Relays
+        store their value after the slot and the sink's becomes a row.
+        Registers and FIFOs are resolved here, so ``run`` only replays the
+        steps kept rows depend on.
         """
+        net, N = self.net, self.sched.cycle_length
+        sid, did = net.source.id, net.sink.id
+        self.n_symbols = sum(t % N in tx[sid] for t in range(self.total_slots))
+        self.n_noise = 0
+        self.injections = []      # (slot, symbol index)
+        self.rows = []            # absolute slot per sink row, in order
         regs = {}
         queues = {u: deque([None] * b) for u, b in self.buffered.items()}
         values = []               # per value: (support, terms, adds noise)
@@ -201,39 +171,48 @@ class PropagationProgram:
                 return q.popleft() if q else None
             return regs.get(w)
 
-        def combine(terms, pulled, noise):
+        def combine(u, talkers, pulled, noise):
             index, out = {}, []   # column -> position, in layout order
-            for kind, key, gidx in terms:
-                if kind == "sym":
-                    src, sup = None, (key,)
+            for w in net.in_neighbors[u]:
+                if w not in talkers:
+                    continue
+                if w == sid:    # the symbol injected this slot
+                    src, sup = None, (len(self.injections) - 1,)
                 else:
-                    src = pulled[key]
+                    src = pulled[w]
                     if src is None:
                         continue
                     sup = values[src][0]
                 pos = [index.setdefault(c, len(index)) for c in sup]
                 contiguous = pos == list(range(pos[0], pos[0] + len(pos)))
-                out.append((src, gidx, slice(pos[0], pos[-1] + 1) if contiguous
-                            else np.array(pos)))
+                out.append((src, self.edge_index[(w, u)],
+                            slice(pos[0], pos[-1] + 1) if contiguous else np.array(pos)))
             if noise is not None:
-                index[self.n_symbols + noise] = len(index)
+                index[noise] = len(index)
             values.append((tuple(index), out, noise is not None))
             return len(values) - 1
 
-        for sym_idx, recvs, row in slot_ops:
-            # pull every transmitting register once, FIFO pops included
-            senders = {key for _, terms, *_ in list(recvs) + ([row] if row else [])
-                       for kind, key, _ in terms if kind == "reg"}
-            pulled = {w: signal(w) for w in senders}
-            updates = {u: combine(terms, pulled, noise_idx)
-                       for u, terms, noise_idx in recvs}
-            if row is not None:
-                row_values.append(combine(row[1], pulled, None))
+        for t in range(self.total_slots):
+            s = t % N
+            talkers = {u for u in tx if s in tx[u]}
+            if sid in talkers:
+                self.injections.append((t, len(self.injections)))
+            pulled = {w: signal(w) for w in talkers - {sid}}
+            updates = {}
+            for n in net.nodes:
+                if s in rx[n.id] and n.id != did:
+                    updates[n.id] = combine(n.id, talkers, pulled,
+                                            self.n_symbols + self.n_noise)
+                    self.n_noise += 1
+            if s in rx[did]:
+                self.rows.append(t)
+                row_values.append(combine(did, talkers, pulled, None))
             for u, v in updates.items():
                 if u in queues:
                     queues[u].append(v)
                 else:
                     regs[u] = v
+        self.kept_rows = [i for i, t in enumerate(self.rows) if t >= self.keep_from]
 
         # keep only the steps a kept row depends on, and free each value
         # after its last reader
@@ -298,8 +277,9 @@ class PropagationProgram:
         kept = len(self.kept_cols)
         return out[:, :, :kept], out[:, :, kept:]
 
-    def gain_vector(self, fading: FadingRealization, batch: int = 1):
-        vec = np.empty((self.n_edges, batch), dtype=complex)
+    def gain_vector(self, fading: FadingRealization):
+        """One draw's gains as an (n_edges, 1) column."""
+        vec = np.empty((self.n_edges, 1), dtype=complex)
         for pair, i in self.edge_index.items():
             vec[i] = fading.gains[pair]
         return vec
@@ -326,9 +306,7 @@ def propagate(net: Network, sched: Schedule, fading: FadingRealization,
         output_slots=tuple(prog.rows[i] for i in prog.kept_rows),
         total_slots=prog.total_slots,
         cycle_length=sched.cycle_length,
-        n_cycles=cycles,
-        net=net,
-        sched=sched,
+        program=prog,
         fading=fading,
     )
 
@@ -366,7 +344,7 @@ def _expected_thread(model: TransferModel):
     source talks to the sink every slot (buffered or slotted direct
     operation) the newest symbol rides the direct gain instead.
     """
-    sched, fading, net = model.sched, model.fading, model.net
+    sched, net, fading = model.program.sched, model.program.net, model.fading
     direct_always = (sched.direct_link_mode == "buffered"
                      or sched.params.get("direct_every_slot"))
     sd = (net.source.id, net.sink.id)
@@ -449,9 +427,9 @@ def extract_blocks(model: TransferModel):
 
     Returns (h_diag, h_rest, independent): h_diag keeps only each row's
     thread entry, h_rest the others. ``independent`` is True when no
-    single edge gain feeds both parts, established by running one
-    compiled program with each edge gain perturbed in turn and watching
-    which entries move.
+    single edge gain feeds both parts, established by rerunning the
+    model's own program with each edge gain perturbed in turn and
+    watching which entries move.
     """
     cert = structure_certificate(model)
     if cert.kind == "none":
@@ -463,9 +441,9 @@ def extract_blocks(model: TransferModel):
     h_rest = h - h_diag
 
     independent = True
-    if np.abs(h_rest).max() > 0 and model.net is not None:
+    if np.abs(h_rest).max() > 0:
         scale = np.abs(h).max()
-        prog = PropagationProgram(model.net, model.sched, model.n_cycles)
+        prog = model.program
         base = prog.gain_vector(model.fading)
         for i in range(prog.n_edges):
             gains = base.copy()

@@ -33,6 +33,14 @@ class NotLayeredError(NetworkError):
     """Operation requires a layered network."""
 
 
+class SearchBudgetError(NetworkError):
+    """A structural search ran out of steps before it could decide."""
+
+
+# depth-first steps the backbone search may take
+_BACKBONE_BUDGET = 300_000
+
+
 @dataclass(frozen=True)
 class Node:
     id: str
@@ -189,7 +197,9 @@ def _backbone_search(net: Network):
     Returns (paths, direct, interference) or None. Paths are chosen
     deterministically: path heads in ascending id order and node choices
     ascending, with backtracking, so the first full cover found is the
-    lexicographically smallest valid one.
+    lexicographically smallest valid one. The depth-first search runs on
+    an explicit stack and raises ``SearchBudgetError`` after
+    ``_BACKBONE_BUDGET`` steps rather than report no cover.
     """
     s, d = net.source.id, net.sink.id
     relay_ids = {n.id for n in net.relays}
@@ -198,39 +208,30 @@ def _backbone_search(net: Network):
     if len(starts) < 2 or len(ends) != len(starts):
         return None
     start_set = set(starts)
-    budget = [300_000]
-
-    def close_path(paths, used):
-        # all starts consumed: valid only if every relay is covered
-        if len(used) == len(relay_ids):
-            return _validate_leftovers(net, paths)
-        return None
-
-    def extend(paths, current_path, used):
-        if budget[0] <= 0:
-            return None
-        budget[0] -= 1
-        u = current_path[-1]
-        if u in ends:
+    steps = 0
+    stack = [([], [s, starts[0]], {starts[0]})]    # (paths, path, used)
+    while stack:
+        if steps == _BACKBONE_BUDGET:
+            raise SearchBudgetError(f"backbone search gave up after {steps} steps")
+        steps += 1
+        paths, path, used = stack.pop()
+        if path[-1] in ends:
             # a node feeding the sink must terminate its path here
-            done = current_path + [d]
+            paths = paths + [path + [d]]
             remaining = [v for v in starts if v not in used]
-            if not remaining:
-                return close_path(paths + [done], used)
-            head = remaining[0]
-            return extend(paths + [done], [s, head], used | {head})
-        for v in sorted(net.out_neighbors[u]):
-            if v not in relay_ids or v in used:
-                continue
-            if v in start_set:
-                continue  # starts may only head their own path
-            result = extend(paths, current_path + [v], used | {v})
-            if result is not None:
-                return result
-        return None
-
-    head = starts[0]
-    return extend([], [s, head], {head})
+            if remaining:
+                stack.append((paths, [s, remaining[0]], used | {remaining[0]}))
+            elif len(used) == len(relay_ids):
+                # all starts consumed and every relay covered
+                found = _validate_leftovers(net, paths)
+                if found is not None:
+                    return found
+            continue
+        # starts may only head their own path; the smallest hop pops first
+        for v in sorted(net.out_neighbors[path[-1]], reverse=True):
+            if v in relay_ids and v not in used and v not in start_set:
+                stack.append((paths, path + [v], used | {v}))
+    return None
 
 
 def _validate_leftovers(net: Network, paths):

@@ -19,8 +19,8 @@ from fractions import Fraction
 from heapq import heappop, heappush
 
 from .netgraph import (
-    Network, PathSet, classify, edge_disjoint_paths, forward_paths,
-    is_relay_bank, kpp_network)
+    Network, PathSet, _fully_connected, classify, edge_disjoint_paths,
+    forward_paths, is_relay_bank, kpp_network)
 
 
 class SchedulingError(ValueError):
@@ -779,17 +779,11 @@ def layered_matching_schedule(net: Network, T=None) -> Schedule:
     Every path delivers 2T - L symbols per full cycle.
     """
     cls = classify(net)
-    if cls.tag == "regular":
-        sizes = tuple(len(layer) for layer in cls.layers[1:-1])
-        fully = all(
-            net.has_edge(u, v)
-            for a, b in zip(cls.layers, cls.layers[1:]) for u in a for v in b)
-        if not fully:
-            raise SchedulingError("network is not fully connected")
-    elif cls.tag == "fully-connected-layered":
-        sizes = tuple(len(layer) for layer in cls.layers[1:-1])
-    else:
+    if cls.tag not in ("regular", "fully-connected-layered"):
         raise SchedulingError(f"network is {cls.label}, need fully connected layers")
+    if cls.tag == "regular" and not _fully_connected(net, cls.layers):
+        raise SchedulingError("network is not fully connected")
+    sizes = tuple(len(layer) for layer in cls.layers[1:-1])
     L = len(sizes)
     pset = forward_paths(net)
     partner = layer_partner_map(pset, sizes)

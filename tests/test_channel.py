@@ -264,6 +264,42 @@ def test_run_matches_pinned_digest(case):
     assert blob.hexdigest() == PINNED_RUN_SHA256[case]
 
 
+@pytest.mark.parametrize("family", sorted(PINNED_RUN_FAMILIES))
+def test_model_keeps_the_program_that_built_it(family):
+    net = PINNED_RUN_FAMILIES[family]()
+    sched = auto_schedule(net)
+    model = propagate(net, sched, FadingRealization.sample(net, 6), cycles=2)
+    prog = model.program
+    assert (prog.net, prog.sched, prog.cycles) == (net, sched, 2)
+    h, g = prog.run(prog.gain_vector(model.fading))
+    assert (h[0].shape, g[0].shape) == (model.h.shape, model.noise.shape)
+    assert h[0].tobytes() == model.h.tobytes()
+    assert g[0].tobytes() == model.noise.tobytes()
+
+
+@pytest.mark.parametrize("mknet", [
+    lambda: layered_network((1, 2, 2, 2, 1)),
+    lambda: kpp_network((2, 3, 4, 2), direct_link=True),
+], ids=["layered12221", "kppD2342"])
+def test_model_analysis_compiles_one_program(mknet, monkeypatch):
+    # propagate compiles; the certificate and the leakage probes reuse it
+    net = mknet()
+    sched = auto_schedule(net)
+    compiled = []
+    init = PropagationProgram.__init__
+
+    def counting_init(self, *args):
+        compiled.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(PropagationProgram, "__init__", counting_init)
+    model = propagate(net, sched, FadingRealization.sample(net, 4), cycles=4)
+    assert structure_certificate(model).kind != "none"
+    _, h_rest, _ = extract_blocks(model)
+    assert np.abs(h_rest).max() > 0      # the probes did run
+    assert len(compiled) == 1
+
+
 @pytest.mark.parametrize("label,mknet,mksched,cycles",
                          ZOO, ids=[z[0] for z in ZOO])
 def test_noise_covariance_dominates_identity(label, mknet, mksched, cycles):

@@ -7,6 +7,7 @@ import pytest
 
 from relaydmt import (
     kpp_network,
+    layered_network,
     load_schedule,
     naf_network,
     saf_network,
@@ -209,6 +210,13 @@ def test_data_errors(tmp_path, nets, capsys):
     capsys.readouterr()
     assert main(["classify", "--network", str(sched_file)]) == 3
     assert "error:" in capsys.readouterr().err
+
+
+def test_classify_spent_search_budget_is_data_error(tmp_path, capsys):
+    path = tmp_path / "layered166661.json"
+    save_network(layered_network((1, 6, 6, 6, 6, 1)), path)
+    assert main(["classify", "--network", str(path)]) == 3
+    assert "backbone search" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from relaydmt import (
     NetworkError,
     Network,
     Node,
+    SearchBudgetError,
     UnreachableSinkError,
     classify,
     edge_disjoint_paths,
@@ -196,6 +197,23 @@ def test_layered_tags():
     assert [len(l) for l in cls.layers] == [1, 2, 3, 1]
     partial = layered_network((1, 3, 3, 1), fully_connected=False)
     assert classify(partial).tag in ("layered", "regular")
+
+
+def test_classify_on_long_paths_needs_no_recursion():
+    # 3600 relays: each backbone path is longer than the recursion limit
+    cls = classify(kpp_network((1200,) * 3))
+    assert (cls.tag, cls.K, cls.L) == ("regular", 3, 1199)
+    assert [len(p) for p in cls.backbone] == [1201] * 3
+    cls = classify(kpp_network((1199, 1200, 1201)))
+    assert (cls.tag, cls.K) == ("KPP", 3)
+
+
+def test_spent_backbone_budget_is_an_error_not_a_tag():
+    # the search cannot settle this regular network within its budget;
+    # it must not fall through to the layered tags
+    with pytest.raises(SearchBudgetError):
+        classify(layered_network((1, 6, 6, 6, 6, 1)))
+    assert classify(layered_network((1, 6, 6, 6, 1))).label == "regular(6,3)"
 
 
 def test_banks_and_leftovers():
