@@ -8,7 +8,9 @@ the same register arithmetic the real network would apply, so H, G and
 sigma come out of one pass with no formula specific to any topology.
 Compilation walks that arithmetic once over structural supports (the
 columns each register value can reach), and every run then works on
-those supports alone.
+those supports alone. The kept rows' supports are also the shape of H
+that ``structure_certificate`` and ``extract_blocks`` read, so that
+shape does not depend on a draw or a magnitude threshold.
 
 Reception is slot driven: a node listens in exactly the slots where
 one of its scheduled incoming edges is active, and then hears every
@@ -324,17 +326,8 @@ class StructureCertificate:
     notes: tuple = ()
 
 
-# an H entry counts as nonzero above this fraction of max|H|
-_SUPPORT_TOL = 1e-10
 # relative tolerance of the thread check against the expected coefficient
 _THREAD_TOL = 1e-9
-
-
-def _support(h):
-    scale = np.abs(h).max()
-    if scale == 0:
-        return np.zeros(h.shape, dtype=bool)
-    return np.abs(h) > _SUPPORT_TOL * scale
 
 
 def _expected_thread(model: TransferModel):
@@ -365,56 +358,57 @@ def _expected_thread(model: TransferModel):
     return expected
 
 
-def structure_certificate(model: TransferModel) -> StructureCertificate:
-    """Classify H and check its dominant entries against the schedule.
+def _shape(per_row):
+    """Kind, main columns and notes of H from each row's sorted columns.
 
     Kinds, most specific first: diagonal (one entry per row, strictly
     advancing), lower-triangular (newest symbol of each row strictly
     advancing), upper-triangular (oldest symbol strictly advancing),
-    block-lower-triangular (no row touches a later cycle's symbols).
-    The thread check compares the expected per-row coefficient with the
-    matching entry of H at relative tolerance ``_THREAD_TOL``.
+    block-lower-triangular (neither end advances).
     """
-    h = model.h
-    if h.size == 0:
-        return StructureCertificate("none", False, np.inf, notes=("empty",))
-    sup = _support(h)
-    per_row = [np.flatnonzero(r) for r in sup]
-    if any(len(nz) == 0 for nz in per_row):
-        return StructureCertificate("none", False, np.inf,
-                                    notes=("empty row",))
+    if not any(len(cols) for cols in per_row):
+        return "none", (), ("empty",)
+    if not all(len(cols) for cols in per_row):
+        return "none", (), ("empty row",)
+    maxc = [cols[-1] for cols in per_row]
+    minc = [cols[0] for cols in per_row]
+    if all(b > a for a, b in zip(maxc, maxc[1:])):
+        if all(len(cols) == 1 for cols in per_row):
+            return "diagonal", maxc, ()
+        return "lower-triangular", maxc, ()
+    if all(b > a for a, b in zip(minc, minc[1:])):
+        return "upper-triangular", minc, ()
+    return "block-lower-triangular", maxc, ()
 
-    maxc = [nz[-1] for nz in per_row]
-    minc = [nz[0] for nz in per_row]
-    singleton = all(len(nz) == 1 for nz in per_row)
-    increasing_max = all(b > a for a, b in zip(maxc, maxc[1:]))
-    increasing_min = all(b > a for a, b in zip(minc, minc[1:]))
 
-    if singleton and increasing_max:
-        kind, main = "diagonal", maxc
-    elif increasing_max:
-        kind, main = "lower-triangular", maxc
-    elif increasing_min:
-        kind, main = "upper-triangular", minc
-    else:
-        # start-up is always whole cycles, so absolute cycle indices align
-        row_cycle = [t // model.cycle_length for t in model.output_slots]
-        col_cycle = [t // model.cycle_length for t in model.input_slots]
-        blockish = all(
-            col_cycle[c] <= row_cycle[r]
-            for r in range(len(per_row)) for c in per_row[r])
-        if blockish:
-            kind, main = "block-lower-triangular", maxc
-        else:
-            return StructureCertificate("none", False, np.inf)
+def _structure(model: TransferModel):
+    """``_shape`` of the H columns in each kept row's compiled support."""
+    prog = model.program
+    kept = len(prog.kept_cols)
+    return _shape([np.sort(cols[cols < kept]) for cols in prog.row_support])
 
-    expected = _expected_thread(model)
+
+def structure_certificate(model: TransferModel) -> StructureCertificate:
+    """Classify H and check its dominant entries against the schedule.
+
+    The kind and each row's main column come from the structural
+    supports the compile fixed, not from magnitudes on this draw (see
+    ``_shape`` for the kinds). A listener only hears values stored in
+    earlier slots and the symbol injected in its own slot, so no row
+    reaches a later cycle's symbols and a channel whose rows advance at
+    neither end is block lower triangular. The thread check compares the
+    expected per-row coefficient with the matching entry of H at
+    relative tolerance ``_THREAD_TOL``.
+    """
+    kind, main, notes = _structure(model)
+    if kind == "none":
+        return StructureCertificate(kind, False, np.inf, notes=notes)
     err = 0.0
     ok = True
-    for r, exp in enumerate(expected):
+    for r, exp in enumerate(_expected_thread(model)):
         if exp is None:
             continue
-        got = h[r, main[r]]
+        got = model.h[r, main[r]]
         e = abs(got - exp) / max(abs(exp), 1e-300)
         err = max(err, e)
         if e > _THREAD_TOL:
@@ -429,14 +423,16 @@ def extract_blocks(model: TransferModel):
     thread entry, h_rest the others. ``independent`` is True when no
     single edge gain feeds both parts, established by rerunning the
     model's own program with each edge gain perturbed in turn and
-    watching which entries move.
+    watching which entries move. The split takes each row's main column
+    from the compiled supports, as ``structure_certificate`` does, and
+    runs no thread check.
     """
-    cert = structure_certificate(model)
-    if cert.kind == "none":
+    kind, main, _ = _structure(model)
+    if kind == "none":
         raise PropagationError("channel has no triangular structure")
     h = model.h
     diag_mask = np.zeros(h.shape, dtype=bool)
-    diag_mask[np.arange(h.shape[0]), list(cert.main_columns)] = True
+    diag_mask[np.arange(h.shape[0]), main] = True
     h_diag = np.where(diag_mask, h, 0)
     h_rest = h - h_diag
 

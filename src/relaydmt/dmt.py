@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .netgraph import (
-    Network, classify, edge_disjoint_paths, is_relay_bank, min_cut)
+    Network, _Dinic, classify, edge_disjoint_paths, is_relay_bank, min_cut)
 
 
 class CurveError(ValueError):
@@ -239,24 +239,19 @@ def _layer_hop_sizes(layers):
 
 
 def _disjoint_partner_exists(paths):
-    """Perfect matching between paths and node-disjoint paths."""
+    """Perfect matching between paths and node-disjoint paths, found as
+    a unit-capacity flow: source -> path i -> partner j -> sink."""
     relays = [set(p[1:-1]) for p in paths]
     n = len(paths)
-    adj = [[j for j in range(n) if not (relays[i] & relays[j])]
-           for i in range(n)]
-    match = [None] * n
-
-    def augment(i, seen):
-        for j in adj[i]:
-            if j in seen:
-                continue
-            seen.add(j)
-            if match[j] is None or augment(match[j], seen):
-                match[j] = i
-                return True
-        return False
-
-    return all(augment(i, set()) for i in range(n))
+    flow = _Dinic(2 * n + 2)
+    s, t = 2 * n, 2 * n + 1
+    for i in range(n):
+        flow.add_edge(s, i)
+        flow.add_edge(n + i, t)
+        for j in range(n):
+            if not (relays[i] & relays[j]):
+                flow.add_edge(i, n + j)
+    return flow.max_flow(s, t) == n
 
 
 def family_dmt(net: Network) -> FamilyAnalysis:

@@ -154,13 +154,6 @@ def _thresholds(plan, sched, n_rows):
     return thr
 
 
-def _batched_whitened_sv(h, g):
-    rows = h.shape[1]
-    sigma = np.eye(rows) + g @ np.conj(np.swapaxes(g, 1, 2))
-    L = np.linalg.cholesky(sigma)
-    return np.linalg.svd(np.linalg.solve(L, h), compute_uv=False)
-
-
 def _row_blocks(prog: PropagationProgram) -> list:
     """Independent row blocks of the program's channel, grouped by shape.
 

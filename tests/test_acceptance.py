@@ -64,7 +64,7 @@ from relaydmt import (
     validate_orthogonal,
     whitening_check,
 )
-from relaydmt.montecarlo import _batched_whitened_sv, _thresholds
+from relaydmt.montecarlo import _block_sv2, _row_blocks, _thresholds
 
 from test_dmt import GRID, dense_min_plus, random_grid_curve
 from test_netgraph import augmenting_flow, expand_by_hand, random_dag
@@ -271,13 +271,16 @@ def _tilted_outage(net, sched, rates, snr_db, seed, trials=TILTED_TRIALS):
 
     Only the draws and their weights differ from ``outage_sweep``: the
     channel comes from the same ``PropagationProgram``, is scored by the
-    same whitened spectrum and compared with the same thresholds.
+    same block-wise whitened spectrum (``row_values`` through
+    ``_row_blocks`` and ``_block_sv2``) and compared with the same
+    thresholds.
     Returns (estimate, standard error, outage events under the
     proposal) per cell.
     """
     plan = SimPlan(snr_db=snr_db, rates=rates, cycles=CYCLES)
     prog = PropagationProgram(net, sched, CYCLES)
     thr = _thresholds(plan, sched, len(prog.kept_rows))
+    blocks = _row_blocks(prog)
     tilted_edges = sorted(prog.edge_index[e] for e in sched.activations)
     out = {}
     for db in snr_db:
@@ -289,8 +292,7 @@ def _tilted_outage(net, sched, rates, snr_db, seed, trials=TILTED_TRIALS):
             b = min(TILTED_BATCH, trials - start)
             gains, log_w = _mixture_gains(rng, prog.n_edges, tilted_edges,
                                           b, lam)
-            h, g = prog.run(gains)
-            sv2 = _batched_whitened_sv(h, g) ** 2
+            sv2 = _block_sv2(prog.row_values(gains), blocks, True)
             bits = np.log2(1.0 + rho * sv2).sum(axis=1)
             w = np.exp(log_w)
             for r in rates:

@@ -7,7 +7,6 @@ propagation engine, so agreement pins down H, sigma and the slot
 bookkeeping at machine precision.
 """
 
-import dataclasses
 import hashlib
 import json
 
@@ -43,6 +42,8 @@ from relaydmt import (
     structure_certificate,
     two_hop_network,
 )
+from relaydmt import channel
+from relaydmt.channel import _expected_thread, _shape
 from relaydmt.protocol import PathSet
 
 
@@ -282,22 +283,30 @@ def test_model_keeps_the_program_that_built_it(family):
     lambda: kpp_network((2, 3, 4, 2), direct_link=True),
 ], ids=["layered12221", "kppD2342"])
 def test_model_analysis_compiles_one_program(mknet, monkeypatch):
-    # propagate compiles; the certificate and the leakage probes reuse it
+    # propagate compiles; the certificate and the leakage probes reuse
+    # it, and extract_blocks reads the shape without certifying again
     net = mknet()
     sched = auto_schedule(net)
-    compiled = []
+    compiled, certified = [], []
     init = PropagationProgram.__init__
+    certify = channel.structure_certificate
 
     def counting_init(self, *args):
         compiled.append(args)
         init(self, *args)
 
+    def counting_certify(model):
+        certified.append(model)
+        return certify(model)
+
     monkeypatch.setattr(PropagationProgram, "__init__", counting_init)
+    monkeypatch.setattr(channel, "structure_certificate", counting_certify)
     model = propagate(net, sched, FadingRealization.sample(net, 4), cycles=4)
-    assert structure_certificate(model).kind != "none"
+    assert channel.structure_certificate(model).kind != "none"
     _, h_rest, _ = extract_blocks(model)
     assert np.abs(h_rest).max() > 0      # the probes did run
     assert len(compiled) == 1
+    assert len(certified) == 1
 
 
 @pytest.mark.parametrize("label,mknet,mksched,cycles",
@@ -358,29 +367,89 @@ def test_certificate_thread_values_match_path_products():
 
 
 def test_certificate_synthetic_kinds():
-    base = propagate(naf_network(), naf_schedule(naf_network()),
-                     FadingRealization.sample(naf_network(), 1), cycles=2)
-
-    def with_h(h):
-        return dataclasses.replace(base, h=np.array(h, dtype=complex))
+    def shape(h):
+        return _shape([np.flatnonzero(row) for row in np.array(h)])
 
     # oldest column advances while the newest stalls
-    up = structure_certificate(with_h(
-        [[1, 0, 0, 1], [0, 1, 0, 1], [0, 0, 1, 1], [0, 0, 0, 1]]))
-    assert up.kind == "upper-triangular"
+    kind, main, _ = shape(
+        [[1, 0, 0, 1], [0, 1, 0, 1], [0, 0, 1, 1], [0, 0, 0, 1]])
+    assert (kind, list(main)) == ("upper-triangular", [0, 1, 2, 3])
 
-    # neither end advances, but nothing reaches into a later cycle
-    blk = structure_certificate(with_h(
-        [[1, 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, 1], [0, 0, 1, 1]]))
-    assert blk.kind == "block-lower-triangular"
+    # neither end advances
+    kind, main, _ = shape(
+        [[1, 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, 1], [0, 0, 1, 1]])
+    assert (kind, list(main)) == ("block-lower-triangular", [1, 1, 3, 3])
 
-    # a first-cycle row fed by a second-cycle symbol fits no shape
-    none = structure_certificate(with_h(
-        [[1, 0, 1, 0], [1, 1, 0, 1], [0, 1, 1, 0], [0, 1, 0, 1]]))
-    assert none.kind == "none"
+    assert shape(np.zeros((4, 4))) == ("none", (), ("empty",))
+    assert shape([[1, 0], [0, 0]]) == ("none", (), ("empty row",))
 
-    empty = structure_certificate(with_h(np.zeros((4, 4))))
-    assert empty.kind == "none"
+
+# every model the structural certificate is checked on: the ZOO, plus
+# KPP(4,5), whose back-flow leakage dwarfs its thread entries, and the
+# 192-row KPP(I) K=4 channel
+STRUCTURE_MODELS = [(label, mknet, mksched, cycles)
+                    for label, mknet, mksched, cycles in ZOO] + [
+    ("kpp45", lambda: kpp_network((4, 5)), auto_schedule, 4),
+    ("kppI4", lambda: kpp_network((2, 3, 3, 4), cross_links=[((1, 1), (2, 1))]),
+     auto_schedule, 4),
+]
+
+
+@pytest.mark.parametrize("label,mknet,mksched,cycles", STRUCTURE_MODELS,
+                         ids=[z[0] for z in STRUCTURE_MODELS])
+def test_compiled_rows_reach_no_later_symbol(label, mknet, mksched, cycles):
+    # a listener hears stored registers and the symbol injected in its
+    # own slot, never a later one: no row can reach into a later cycle
+    net = mknet()
+    model = propagate(net, mksched(net), FadingRealization.sample(net, 1),
+                      cycles=cycles)
+    prog = model.program
+    kept = len(prog.kept_cols)
+    for r, cols in enumerate(prog.row_support):
+        for c in cols[cols < kept]:
+            assert model.input_slots[c] <= model.output_slots[r], (r, c)
+
+
+def magnitude_certificate(model):
+    """(kind, main columns, thread ok) read from magnitudes on the
+    model's own draw: an H entry counts when it exceeds 1e-10 of
+    max|H|, and a row may not reach a symbol of a later cycle."""
+    h = model.h
+    if h.size == 0:
+        return "none", (), False
+    per_row = [np.flatnonzero(np.abs(row) > 1e-10 * np.abs(h).max())
+               for row in h]
+    if any(len(nz) == 0 for nz in per_row):
+        return "none", (), False
+    maxc = [nz[-1] for nz in per_row]
+    minc = [nz[0] for nz in per_row]
+    if all(b > a for a, b in zip(maxc, maxc[1:])):
+        kind = "diagonal" if all(len(nz) == 1 for nz in per_row) else "lower-triangular"
+        main = maxc
+    elif all(b > a for a, b in zip(minc, minc[1:])):
+        kind, main = "upper-triangular", minc
+    elif all(model.input_slots[c] // model.cycle_length
+             <= model.output_slots[r] // model.cycle_length
+             for r, nz in enumerate(per_row) for c in nz):
+        kind, main = "block-lower-triangular", maxc
+    else:
+        return "none", (), False
+    ok = all(abs(h[r, main[r]] - exp) <= 1e-9 * abs(exp)
+             for r, exp in enumerate(_expected_thread(model)) if exp is not None)
+    return kind, tuple(main), ok
+
+
+@pytest.mark.parametrize("label,mknet,mksched,cycles", STRUCTURE_MODELS,
+                         ids=[z[0] for z in STRUCTURE_MODELS])
+def test_structural_certificate_matches_magnitudes(label, mknet, mksched, cycles):
+    net = mknet()
+    sched = mksched(net)
+    for seed in range(10) if label == "kpp45" else (5,):
+        model = propagate(net, sched, FadingRealization.sample(net, seed),
+                          cycles=cycles)
+        cert = structure_certificate(model)
+        assert (cert.kind, cert.main_columns, cert.thread_ok) == \
+            magnitude_certificate(model), seed
 
 
 def test_extract_blocks_split_and_independence():
@@ -430,13 +499,21 @@ def test_extract_blocks_sees_thread_edges_feeding_leakage():
 
 
 def test_extract_blocks_needs_structure():
-    base = propagate(naf_network(), naf_schedule(naf_network()),
-                     FadingRealization.sample(naf_network(), 1), cycles=2)
-    shuffled = dataclasses.replace(base, h=np.array(
-        [[1, 0, 1, 0], [1, 1, 0, 1], [0, 1, 1, 0], [0, 1, 0, 1]],
-        dtype=complex))
+    # w never hears anything, so the slot-1 sink row carries only a's
+    # receiver noise and H has an empty row
+    net = Network([Node("s", "source"), Node("w", "relay"), Node("a", "relay"),
+                   Node("d", "sink")],
+                  [Edge("s", "d"), Edge("w", "a"), Edge("a", "d")])
+    sched = Schedule(
+        cycle_length=3,
+        activations={("w", "a"): frozenset({0}), ("a", "d"): frozenset({1}),
+                     ("s", "d"): frozenset({2})},
+        symbols_per_cycle=1,
+    )
+    model = propagate(net, sched, FadingRealization.sample(net, 1), cycles=2)
+    assert structure_certificate(model).kind == "none"
     with pytest.raises(PropagationError):
-        extract_blocks(shuffled)
+        extract_blocks(model)
 
 
 # ---------------------------------------------------------------------------

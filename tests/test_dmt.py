@@ -18,6 +18,7 @@ from relaydmt import (
     Network,
     Node,
     UnsupportedFamilyError,
+    classify,
     curve_rows,
     curve_to_csv,
     family_dmt,
@@ -25,6 +26,7 @@ from relaydmt import (
     layered_network,
     linear_curve,
     mimo_dmt,
+    min_cut,
     mincut_schedule_dmt,
     naf_network,
     parallel,
@@ -310,6 +312,22 @@ def test_family_unsupported():
         family_dmt(kpp_network((2, 3), direct_link=True))
     with pytest.raises(UnsupportedFamilyError):
         family_dmt(kpp_network((2, 3), cross_links=(((1, 1), (2, 1)),)))
+
+
+def test_family_layered_without_disjoint_partner():
+    # a (1,3,2,1) layered network whose only way out is l2n0-d: min cut
+    # 1, and the one edge-disjoint path has no node-disjoint partner
+    relays = ["l1n0", "l1n1", "l1n2", "l2n0", "l2n1"]
+    pairs = [("s", "l1n0"), ("s", "l1n1"), ("s", "l1n2"), ("l1n0", "l2n1"),
+             ("l1n1", "l2n0"), ("l1n1", "l2n1"), ("l1n2", "l2n1"),
+             ("l2n0", "d")]
+    net = Network([Node("s", "source")] + [Node(r, "relay") for r in relays]
+                  + [Node("d", "sink")],
+                  [Edge(a, b) for a, b in pairs] + [Edge(b, a) for a, b in pairs])
+    assert classify(net).tag == "layered"
+    assert min_cut(net) == 1
+    with pytest.raises(UnsupportedFamilyError, match="node-disjoint partner"):
+        family_dmt(net)
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,6 @@ from relaydmt import (
     whitening_check,
 )
 from relaydmt.montecarlo import (
-    _batched_whitened_sv,
     _block_sv2,
     _draw_gains,
     _row_blocks,
@@ -278,6 +277,13 @@ WHITENED_RTOL = {"kpp45": 1e-9}
 def _bits(sv2):
     return np.array([np.log2(1.0 + 10.0 ** (db / 10.0) * sv2).sum(axis=1)
                      for db in SCORED_DB])
+
+
+def _batched_whitened_sv(h, g):
+    rows = h.shape[1]
+    sigma = np.eye(rows) + g @ np.conj(np.swapaxes(g, 1, 2))
+    L = np.linalg.cholesky(sigma)
+    return np.linalg.svd(np.linalg.solve(L, h), compute_uv=False)
 
 
 def _dense_sv2(h, g, whiten):
