@@ -22,7 +22,7 @@ that the scheduling machinery is designed to keep harmless.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -4,8 +4,9 @@ One binary, five subcommands: classify a network file, synthesize and
 export a schedule, compute analytic tradeoff curves, run an outage
 simulation, and compare analytic against simulated diversity. Human
 summaries go to standard output; machine-readable results go to files
-named by --out. Every run is deterministic given its flags, with all
-randomness derived from --seed.
+named by --out, as CSV or JSON per --format, and every command that
+writes --out prints ``wrote FILE``. Every run is deterministic given
+its flags, with all randomness derived from --seed.
 
 Exit codes: 0 success, 2 usage error, 3 data error (unreadable or
 unsupported input), 4 internal failure.
@@ -15,21 +16,18 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import sys
 from fractions import Fraction
 
-from .channel import HalfDuplexError, PropagationError
-from .dmt import CurveError, UnsupportedFamilyError, curve_rows, family_dmt
+from .dmt import curve_rows, family_dmt
 from .montecarlo import SimPlan, outage_sweep
 from .netgraph import classify, load_network, min_cut
-from .protocol import (SchedulingError, auto_schedule, kppI_schedule,
-                       saf_schedule, save_schedule, validate_orthogonal)
+from .protocol import (auto_schedule, kppI_schedule, saf_schedule,
+                       save_schedule, validate_orthogonal)
 
 OK, USAGE, DATA, INTERNAL = 0, 2, 3, 4
 
-_PARALLEL_TAGS = ("regular", "KPP", "KPP(I)", "KPP(D)", "KPP(I,D)")
 _PARAM_KEYS = ("cycles", "frames", "saf_slots", "fit_points", "count_floor")
 
 
@@ -105,11 +103,7 @@ def _parse_family_params(text):
     return params
 
 
-def _parse_rates(text, default=None):
-    if text is None:
-        if default is not None:
-            return default
-        raise _Usage("--rates is required for this command")
+def _parse_rates(text):
     tokens = [t for t in (s.strip() for s in text.split(",")) if t]
     if not tokens:
         raise _Usage("--rates lists no values")
@@ -140,16 +134,13 @@ def _snr_grid(args):
 def _plan(args, params):
     if args.trials < 1:
         raise _Usage("--trials must be at least 1")
-    rates = _parse_rates(args.rates, default=(0.0,))
-    return SimPlan(
-        snr_db=_snr_grid(args),
-        rates=rates,
-        trials=args.trials,
-        seed=args.seed,
-        cycles=params.get("cycles", 4),
-        count_floor=params.get("count_floor", 25),
-        fit_points=params.get("fit_points", 4),
-    )
+    # only the knobs the user set; SimPlan holds the defaults
+    knobs = {k: v for k, v in params.items()
+             if k in ("cycles", "count_floor", "fit_points")}
+    if args.rates is not None:
+        knobs["rates"] = _parse_rates(args.rates)
+    return SimPlan(snr_db=_snr_grid(args), trials=args.trials,
+                   seed=args.seed, **knobs)
 
 
 def _require_out(args):
@@ -167,21 +158,16 @@ def _schedule_for(net, params):
     return auto_schedule(net)
 
 
-def _write(path, text):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-
-
-def _csv_text(header, rows):
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(header)
-    w.writerows(rows)
-    return buf.getvalue()
-
-
-def _json_text(obj):
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+def _emit(args, doc, header, rows):
+    """Write --out as JSON (``doc``) or as CSV (``header``, then
+    ``rows``) and say so. csv writes None as an empty field and floats
+    as their repr."""
+    with open(args.out, "w", encoding="utf-8", newline="") as fh:
+        if args.format == "json":
+            fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        else:
+            csv.writer(fh).writerows([header, *rows])
+    print(f"wrote {args.out}")
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +189,7 @@ def cmd_classify(args, params):
     if cls.has_interference:
         print("  links between distinct paths present")
     if args.out:
-        summary = {
+        _emit(args, {
             "family": cls.label,
             "k": cls.K,
             "l": cls.L,
@@ -211,14 +197,9 @@ def cmd_classify(args, params):
             "direct": cls.has_direct,
             "interference": cls.has_interference,
             "backbone": [list(p) for p in cls.backbone] if cls.backbone else None,
-        }
-        if args.format == "json":
-            _write(args.out, _json_text(summary))
-        else:
-            _write(args.out, _csv_text(
-                ["family", "k", "l", "min_cut", "direct", "interference"],
-                [[cls.label, cls.K, cls.L, cut,
-                  int(cls.has_direct), int(cls.has_interference)]]))
+        }, ["family", "k", "l", "min_cut", "direct", "interference"],
+            [[cls.label, cls.K, cls.L, cut,
+              int(cls.has_direct), int(cls.has_interference)]])
     return OK
 
 
@@ -233,7 +214,7 @@ def cmd_schedule(args, params):
     if sched.direct_link_mode != "none":
         print(f"  direct link mode: {sched.direct_link_mode}, "
               f"primes {dict(sched.buffer_primes)}")
-    if cls.tag in _PARALLEL_TAGS:
+    if cls.backbone is not None:
         report = validate_orthogonal(net, sched)
         for name, good in sorted(report.constraints.items()):
             print(f"  {name}: {'ok' if good else 'VIOLATED'}")
@@ -259,18 +240,13 @@ def cmd_analyze(args, params):
         print(f"  note: {note}")
     curves = {"achievable": curve_rows(fam.achievable),
               "cutset": curve_rows(fam.cutset)}
-    if args.format == "json":
-        _write(args.out, _json_text({
-            "family": fam.label,
-            "tight": fam.tight,
-            "notes": list(fam.notes),
-            **{name: [list(p) for p in pts] for name, pts in curves.items()},
-        }))
-    else:
-        _write(args.out, _csv_text(
-            ["curve", "multiplexing", "diversity"],
-            [[name, r, d] for name, pts in curves.items() for r, d in pts]))
-    print(f"wrote {args.out}")
+    _emit(args, {
+        "family": fam.label,
+        "tight": fam.tight,
+        "notes": list(fam.notes),
+        **{name: [list(p) for p in pts] for name, pts in curves.items()},
+    }, ["curve", "multiplexing", "diversity"],
+        [[name, r, d] for name, pts in curves.items() for r, d in pts])
     return OK
 
 
@@ -320,25 +296,20 @@ def cmd_simulate(args, params):
         else:
             print(f"  r={r}: slope {fit.slope:.3f} +- {fit.uncertainty:.3f} "
                   f"over {fit.snrs_used} dB")
-    if args.format == "json":
-        _write(args.out, _json_text({
-            "plan": {
-                "snr_db": [float(v) for v in plan.snr_db],
-                "rates": [float(v) for v in plan.rates],
-                "trials": plan.trials,
-                "seed": plan.seed,
-                "cycles": plan.cycles,
-            },
-            "n_symbols": result.n_symbols,
-            "total_slots": result.total_slots,
-            "points": _points(result),
-            "slopes": {str(r): _slope_obj(result.slopes[r])
-                       for r in plan.rates},
-        }))
-    else:
-        _write(args.out, _csv_text(
-            _POINT_FIELDS, [list(p.values()) for p in _points(result)]))
-    print(f"wrote {args.out}")
+    points = _points(result)
+    _emit(args, {
+        "plan": {
+            "snr_db": [float(v) for v in plan.snr_db],
+            "rates": [float(v) for v in plan.rates],
+            "trials": plan.trials,
+            "seed": plan.seed,
+            "cycles": plan.cycles,
+        },
+        "n_symbols": result.n_symbols,
+        "total_slots": result.total_slots,
+        "points": points,
+        "slopes": {str(r): _slope_obj(result.slopes[r]) for r in plan.rates},
+    }, _POINT_FIELDS, [list(p.values()) for p in points])
     return OK
 
 
@@ -367,16 +338,11 @@ def cmd_compare(args, params):
                   f"  {gap:11.4g}  {fit.uncertainty:11.4g}  {verdict:>11s}")
         rows.append(row)
     if args.out:
-        if args.format == "json":
-            _write(args.out, _json_text({
-                "family": fam.label,
-                "tolerance": args.tolerance,
-                "rows": [dict(zip(header, row)) for row in rows],
-            }))
-        else:
-            # csv writes None as an empty field and floats as their repr
-            _write(args.out, _csv_text(header, rows))
-        print(f"wrote {args.out}")
+        _emit(args, {
+            "family": fam.label,
+            "tolerance": args.tolerance,
+            "rows": [dict(zip(header, row)) for row in rows],
+        }, header, rows)
     return OK
 
 
@@ -401,9 +367,8 @@ def main(argv=None) -> int:
     except _Usage as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE
-    except (SchedulingError, UnsupportedFamilyError, CurveError,
-            PropagationError, HalfDuplexError, json.JSONDecodeError,
-            OSError, ValueError, KeyError) as exc:
+    except (ValueError, OSError, KeyError) as exc:
+        # every library error, and json.JSONDecodeError, is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return DATA
     except Exception as exc:  # pragma: no cover - defensive

@@ -19,25 +19,41 @@ from .netgraph import Network
 from .protocol import Schedule
 
 
+def _whitened_sv2(h, sigma):
+    """Squared singular values of L^-1 h, where L L^H = sigma.
+
+    Batched over leading axes; ``sigma=None`` stands for the identity
+    and skips the whitening. This is the one place the library factors
+    a noise covariance: one that is not positive definite in double
+    raises PropagationError.
+    """
+    if sigma is not None:
+        try:
+            chol = np.linalg.cholesky(sigma)
+        except np.linalg.LinAlgError:
+            raise PropagationError(
+                f"{sigma.shape[-1]}-row noise covariance is not positive "
+                f"definite in double (max|sigma| = {np.abs(sigma).max():.3g}); "
+                f"fewer cycles may help") from None
+        h = np.linalg.solve(chol, h)
+    return np.linalg.svd(h, compute_uv=False) ** 2
+
+
 def mutual_info(h, snr, sigma=None) -> float:
     """log2 det(I + snr * H H^H Sigma^-1) in bits.
 
     ``h`` may be a TransferModel, in which case its own noise
     covariance is used unless an explicit ``sigma`` overrides it.
-    Whitening goes through a Cholesky factor, so the result is the
-    mutual information of the actual noisy channel, not the identity
-    approximation.
+    Whitening goes through ``_whitened_sv2``, the sweeps' own routine,
+    so the result is the mutual information of the actual noisy channel,
+    not the identity approximation, and a covariance that cannot be
+    factored in double raises PropagationError.
     """
     if isinstance(h, TransferModel):
         sigma = h.sigma if sigma is None else sigma
         h = h.h
-    h = np.asarray(h)
-    if sigma is None:
-        s = np.linalg.svd(h, compute_uv=False)
-    else:
-        L = np.linalg.cholesky(np.asarray(sigma))
-        s = np.linalg.svd(np.linalg.solve(L, h), compute_uv=False)
-    return float(np.log2(1.0 + snr * s**2).sum())
+    sv2 = _whitened_sv2(np.asarray(h), None if sigma is None else np.asarray(sigma))
+    return float(np.log2(1.0 + snr * sv2).sum())
 
 
 @dataclass(frozen=True)
@@ -198,9 +214,8 @@ def _block_sv2(vals, blocks, whiten):
     ``vals`` are a program's ``row_values`` and ``blocks`` its
     ``_row_blocks``; each shape group's H and G come out of them with one
     take each. Single-row blocks are closed form, |h|^2 / (1 + |g|^2);
-    larger ones go through batched Cholesky, solve and SVD, and a noise
-    covariance that is not positive definite in double raises
-    PropagationError. Returns (batch, n).
+    larger ones build their block of sigma = I + G G^H and go through
+    ``_whitened_sv2`` (identity when not whitening). Returns (batch, n).
     """
     vals = np.concatenate([vals, np.zeros((1, vals.shape[1]))])
     out = [np.zeros((vals.shape[1], 0))]
@@ -214,17 +229,9 @@ def _block_sv2(vals, blocks, whiten):
             if whiten:
                 sv2 = sv2 / (1.0 + (gb.real**2 + gb.imag**2).sum(axis=(2, 3)))
         else:
-            if whiten:
-                sigma = gb @ np.conj(np.swapaxes(gb, -1, -2)) + np.eye(rows.shape[1])
-                try:
-                    chol = np.linalg.cholesky(sigma)
-                except np.linalg.LinAlgError:
-                    raise PropagationError(
-                        f"noise covariance of a {rows.shape[1]}-row block is not "
-                        f"positive definite in double (max|G| = "
-                        f"{np.abs(gb).max():.3g}); fewer cycles may help") from None
-                hb = np.linalg.solve(chol, hb)
-            sv2 = np.linalg.svd(hb, compute_uv=False) ** 2
+            sigma = (gb @ np.conj(np.swapaxes(gb, -1, -2)) + np.eye(rows.shape[1])
+                     if whiten else None)
+            sv2 = _whitened_sv2(hb, sigma)
         out.append(sv2.reshape(len(sv2), -1))
     return np.concatenate(out, axis=1)
 

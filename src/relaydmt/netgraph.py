@@ -70,9 +70,6 @@ class Edge:
     def pair(self) -> tuple[str, str]:
         return (self.tail, self.head)
 
-    def reversed(self) -> "Edge":
-        return Edge(self.head, self.tail)
-
 
 @dataclass(frozen=True)
 class PathSet:
@@ -490,24 +487,10 @@ def forward_paths(net: Network) -> PathSet:
     cls = classify(net)
     if cls.layers is None:
         raise NotLayeredError("network is not layered")
-    layer_of = {}
-    for k, layer in enumerate(cls.layers):
-        for v in layer:
-            layer_of[v] = k
-    sink = net.sink.id
-    paths = []
-
-    def walk(prefix):
-        u = prefix[-1]
-        if u == sink:
-            paths.append(tuple(prefix))
-            return
-        for v in sorted(net.out_neighbors[u]):
-            if layer_of[v] == layer_of[u] + 1:
-                walk(prefix + [v])
-
-    walk([net.source.id])
-    return PathSet(tuple(paths))
+    # layers are sorted, so the product runs in lexicographic order
+    return PathSet(tuple(
+        p for p in itertools.product(*cls.layers)
+        if all(net.has_edge(a, b) for a, b in zip(p, p[1:]))))
 
 
 def path_delay(net: Network, path) -> int:

@@ -356,23 +356,21 @@ def _lex_matching(allowed):
     result assigns a distinct value to each i, chosen greedily with
     backtracking so earlier vertices get the smallest workable value.
     """
-    n = len(allowed)
-    pick = [None] * n
-    used = set()
-
-    def place(i):
-        if i == n:
-            return True
-        for c in allowed[i]:
-            if c not in used:
-                pick[i] = c
-                used.add(c)
-                if place(i + 1):
-                    return True
-                used.remove(c)
-        return False
-
-    return pick if place(0) else None
+    pick, used, options = [], set(), []
+    while len(pick) < len(allowed):
+        if len(options) == len(pick):
+            options.append(iter(allowed[len(pick)]))
+        c = next((c for c in options[-1] if c not in used), None)
+        if c is not None:
+            pick.append(c)
+            used.add(c)
+            continue
+        # vertex exhausted: move the previous vertex to its next value
+        options.pop()
+        if not pick:
+            return None
+        used.remove(pick.pop())
+    return pick
 
 
 def almost_continuous_schedule(lengths, net=None, delays=None) -> Schedule:
@@ -504,16 +502,16 @@ def check_causal_interference(net: Network, sched: Schedule) -> CausalReport:
     return CausalReport(per_path=tuple(results), details=tuple(details))
 
 
-def balance_delays_kpp3(net: Network, per_node_bound=None, total_bound=None) -> dict:
+def balance_delays_kpp3(net: Network, per_node_bound=None) -> dict:
     """Search added node delays making both causal conditions hold.
 
-    Iterative deepening on the total added delay; within a budget,
-    assignments are enumerated lexicographically over the backbone
-    relays, so the result is deterministic. A delay on a path's first
-    relay only matters to other paths' leak routes (its own forwarding
-    pause is already a free variable), but that is exactly what makes
-    some shortcuts fixable. Raises DelaySearchError when the bounded
-    search is exhausted.
+    Iterative deepening on the total added delay, up to
+    ``per_node_bound``; within a budget, assignments are enumerated
+    lexicographically over the backbone relays, so the result is
+    deterministic. A delay on a path's first relay only matters to
+    other paths' leak routes (its own forwarding pause is already a free
+    variable), but that is exactly what makes some shortcuts fixable.
+    Raises DelaySearchError when the bounded search is exhausted.
     """
     cls = classify(net)
     if cls.backbone is None or cls.K != 3:
@@ -522,8 +520,6 @@ def balance_delays_kpp3(net: Network, per_node_bound=None, total_bound=None) -> 
     K = 3
     if per_node_bound is None:
         per_node_bound = 2 * max(lengths)
-    if total_bound is None:
-        total_bound = per_node_bound
 
     def probe(delays):
         sched = Schedule(
@@ -546,28 +542,21 @@ def balance_delays_kpp3(net: Network, per_node_bound=None, total_bound=None) -> 
         for v in nodes
     }
 
-    def assign(idx, remaining, current):
-        if remaining == 0:
-            return dict(current) if probe(current) else None
-        if idx == len(nodes):
-            return None
-        for d in values[nodes[idx]]:
-            if d > remaining:
-                break
-            if d:
-                current[nodes[idx]] = d
-            found = assign(idx + 1, remaining - d, current)
-            if found is not None:
-                return found
-            current.pop(nodes[idx], None)
-        return None
-
-    for total in range(1, total_bound + 1):
-        found = assign(0, total, {})
-        if found is not None:
-            return found
+    for total in range(1, per_node_bound + 1):
+        # depth first on an explicit stack: (next relay, delay left, delays)
+        stack = [(0, total, {})]
+        while stack:
+            idx, remaining, current = stack.pop()
+            if remaining == 0:
+                if probe(current):
+                    return current
+            elif idx < len(nodes):
+                v = nodes[idx]
+                stack.extend(
+                    (idx + 1, remaining - d, {**current, v: d} if d else current)
+                    for d in reversed(values[v]) if d <= remaining)
     raise DelaySearchError(
-        f"no delay assignment up to total {total_bound} satisfies the "
+        f"no delay assignment up to total {per_node_bound} satisfies the "
         f"causal-interference conditions")
 
 
@@ -859,7 +848,7 @@ def auto_schedule(net: Network) -> Schedule:
     cls = classify(net)
     if cls.tag == "regular":
         return color_regular(cls.K, cls.L, net)
-    if cls.tag in ("KPP", "KPP(I)", "KPP(D)", "KPP(I,D)"):
+    if cls.backbone is not None:
         if cls.has_direct:
             base = kppI_schedule(net) if cls.has_interference else None
             try:

@@ -50,6 +50,7 @@ def test_classify_summary_and_csv(nets, tmp_path, capsys):
     assert "min-cut 4" in text
     assert "direct source-sink link present" in text
     assert text.count("path: s >") == 3
+    assert text.splitlines()[-1] == f"wrote {out}"
     rows = read_csv(out)
     assert rows[0] == ["family", "k", "l", "min_cut", "direct", "interference"]
     assert rows[1][3] == "4" and rows[1][4] == "1"
@@ -84,6 +85,17 @@ def test_schedule_reports_constraints(nets, tmp_path, capsys):
     text = capsys.readouterr().out
     assert "first_edges_disjoint: ok" in text
     assert "back-flow free" in text
+
+
+def test_schedule_on_a_long_crossed_network(tmp_path, capsys):
+    # 1017 relays: the delay search runs deeper than the recursion limit
+    path = tmp_path / "long.json"
+    save_network(kpp_network((340, 339, 341), cross_links=[((2, 2), (3, 2))]),
+                 path)
+    out = tmp_path / "sched.json"
+    assert main(["schedule", "--network", str(path), "--out", str(out)]) == 0
+    assert "family KPP(I): cycle 3 slots, rate 1" in capsys.readouterr().out
+    assert load_schedule(out).added_delays == {"p2r338": 1}
 
 
 def test_schedule_family_param_overrides_slot_count(nets, tmp_path):

@@ -343,6 +343,16 @@ def test_kpp45_unwhitenable_covariance_is_a_library_error():
         outage_sweep(net, auto_schedule(net), SimPlan(trials=256, seed=0))
 
 
+def test_mutual_info_on_unwhitenable_model_is_a_library_error():
+    # seed 18 drives max|G| to 3.9e13 at 4 cycles; mutual_info factors
+    # sigma with the sweeps' routine and reports it the same way
+    net = kpp_network((4, 5))
+    model = propagate(net, auto_schedule(net), FadingRealization.sample(net, 18),
+                      cycles=4)
+    with pytest.raises(PropagationError, match="not positive definite.*fewer cycles"):
+        mutual_info(model, 100.0)
+
+
 def test_kppI4_sweep_builds_no_dense_channel():
     # a dense (256, 192, 192) H and (256, 192, 480) G alone take 528 MB
     net = SCORED["kppI4"]()

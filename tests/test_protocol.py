@@ -155,6 +155,12 @@ def test_almost_continuous_accepts_explicit_delays():
     assert report.ok and report.rate == 1
 
 
+def test_closing_slot_matching_for_many_paths_needs_no_recursion():
+    # one matched path per search level: 1000 levels
+    sched = almost_continuous_schedule((2,) * 1000)
+    assert sched.cycle_length == 1000 and sched.rate == 1
+
+
 def test_length_mismatch_is_rejected():
     net = kpp_network((2, 3))
     with pytest.raises(SchedulingError):
@@ -275,6 +281,12 @@ def test_delay_search_budget_is_honoured():
     net = kpp_network((2, 2, 4), cross_links=(((3, 1), (1, 1)),))
     with pytest.raises(DelaySearchError):
         balance_delays_kpp3(net, per_node_bound=0)
+
+
+def test_delay_search_on_a_long_crossed_network_needs_no_recursion():
+    # one backbone relay per search level: 1017 levels
+    net = kpp_network((340, 339, 341), cross_links=[((2, 2), (3, 2))])
+    assert balance_delays_kpp3(net) == {"p2r338": 1}
 
 
 def test_segmented_interference_schedule_for_four_paths():
