@@ -12,7 +12,6 @@ path extraction, antenna expansion and a JSON file format.
 
 from __future__ import annotations
 
-import itertools
 import json
 from collections import deque
 from dataclasses import dataclass, field
@@ -487,10 +486,12 @@ def forward_paths(net: Network) -> PathSet:
     cls = classify(net)
     if cls.layers is None:
         raise NotLayeredError("network is not layered")
-    # layers are sorted, so the product runs in lexicographic order
-    return PathSet(tuple(
-        p for p in itertools.product(*cls.layers)
-        if all(net.has_edge(a, b) for a, b in zip(p, p[1:]))))
+    # extend prefixes one layer at a time along edges; layers are sorted,
+    # so the paths come out in lexicographic order
+    paths = [(net.source.id,)]
+    for layer in cls.layers[1:]:
+        paths = [p + (v,) for p in paths for v in layer if net.has_edge(p[-1], v)]
+    return PathSet(tuple(paths))
 
 
 def path_delay(net: Network, path) -> int:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from heapq import heappop, heappush
@@ -552,9 +553,11 @@ def balance_delays_kpp3(net: Network, per_node_bound=None) -> dict:
                     return current
             elif idx < len(nodes):
                 v = nodes[idx]
+                # values are ascending: push only those within the budget
+                fits = values[v][:bisect_right(values[v], remaining)]
                 stack.extend(
                     (idx + 1, remaining - d, {**current, v: d} if d else current)
-                    for d in reversed(values[v]) if d <= remaining)
+                    for d in reversed(fits))
     raise DelaySearchError(
         f"no delay assignment up to total {per_node_bound} satisfies the "
         f"causal-interference conditions")

@@ -23,7 +23,6 @@ from relaydmt import (
     PropagationProgram,
     Schedule,
     auto_schedule,
-    classify,
     color_kpp_general,
     color_kpp_three,
     extract_blocks,
@@ -154,33 +153,6 @@ ZOO = [
      layered_matching_schedule, 2),
     ("full-duplex line", lambda: fd_chain(2), fd_schedule, 2),
 ]
-
-
-PARALLEL_TAGS = {"regular", "KPP", "KPP(I)", "KPP(D)", "KPP(I,D)"}
-
-
-def test_backbone_marks_exactly_the_parallel_families():
-    # the CLI and auto_schedule take "has a backbone" as the parallel-path
-    # family test, so classify must set one for those five tags and no other
-    nets = [mknet() for _, mknet, _, _ in ZOO] + [
-        kpp_network((2, 2, 2)), kpp_network((3, 3)), kpp_network((2, 5)),
-        kpp_network((2, 3, 4, 5)),
-        kpp_network((2, 3, 4), direct_link=True),
-        kpp_network((2, 3), direct_link=True),
-        kpp_network((2, 3, 3), cross_links=(((1, 1), (2, 2)),)),
-        kpp_network((2, 3), cross_links=(((1, 1), (2, 1)),), direct_link=True),
-        layered_network((1, 2, 2, 1)), layered_network((1, 2, 3, 1)),
-        layered_network((1, 2, 3, 1), fully_connected=False),
-        layered_network((1, 4, 3, 1), fully_connected=False),
-        naf_network(), saf_network(2), saf_network(4),
-        two_hop_network(3, direct_link=False),
-    ]
-    tags = set()
-    for net in nets:
-        cls = classify(net)
-        tags.add(cls.tag)
-        assert (cls.backbone is not None) == (cls.tag in PARALLEL_TAGS), cls.tag
-    assert tags >= PARALLEL_TAGS | {"layered", "fully-connected-layered"}
 
 
 @pytest.mark.parametrize("label,mknet,mksched,cycles",

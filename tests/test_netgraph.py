@@ -15,6 +15,7 @@ from relaydmt import (
     classify,
     edge_disjoint_paths,
     expand_antennas,
+    forward_paths,
     is_relay_bank,
     kpp_network,
     layered_network,
@@ -208,6 +209,14 @@ def test_classify_on_long_paths_needs_no_recursion():
     assert (cls.tag, cls.K) == ("KPP", 3)
 
 
+def test_forward_paths_follow_edges_not_the_layer_product():
+    # three 29-relay paths: 3**29 layer tuples, but only three paths
+    net = kpp_network((30, 30, 30))
+    assert list(forward_paths(net)) == list(classify(net).backbone)
+    paths = forward_paths(layered_network((1, 2, 3, 1)))
+    assert len(paths) == 6 and list(paths) == sorted(paths)
+
+
 def test_spent_backbone_budget_is_an_error_not_a_tag():
     # the search cannot settle this regular network within its budget;
     # it must not fall through to the layered tags
@@ -224,6 +233,38 @@ def test_banks_and_leftovers():
     assert is_relay_bank(saf_network(2))
     assert not is_relay_bank(two_hop_network(2, direct_link=False))
     assert not is_relay_bank(kpp_network((2, 3), direct_link=True))
+
+
+def test_backbone_marks_exactly_the_parallel_families():
+    # the CLI and auto_schedule take "has a backbone" as the parallel-path
+    # family test, so classify must set one for these five tags and no other
+    parallel = {"regular", "KPP", "KPP(I)", "KPP(D)", "KPP(I,D)"}
+    full_duplex_line = Network(
+        [Node("s", "source"), Node("r1", "relay", 1, "full"),
+         Node("r2", "relay", 1, "full"), Node("d", "sink")],
+        [Edge("s", "r1"), Edge("r1", "r2"), Edge("r2", "d")])
+    nets = [
+        single_link_network(), naf_network(), full_duplex_line,
+        saf_network(2), saf_network(3), saf_network(4),
+        two_hop_network(3, direct_link=False),
+        kpp_network((2, 2, 2)), kpp_network((3, 3)), kpp_network((2, 5)),
+        kpp_network((2, 3, 4)), kpp_network((2, 3, 2, 4)),
+        kpp_network((2, 3, 4, 5)),
+        kpp_network((2, 2, 4), cross_links=(((3, 1), (1, 1)),)),
+        kpp_network((2, 3, 3), cross_links=(((1, 1), (2, 2)),)),
+        kpp_network((2, 3, 4), direct_link=True),
+        kpp_network((2, 3), direct_link=True),
+        kpp_network((2, 3), cross_links=(((1, 1), (2, 1)),), direct_link=True),
+        layered_network((1, 2, 2, 1)), layered_network((1, 2, 3, 1)),
+        layered_network((1, 2, 3, 1), fully_connected=False),
+        layered_network((1, 4, 3, 1), fully_connected=False),
+    ]
+    tags = set()
+    for net in nets:
+        cls = classify(net)
+        tags.add(cls.tag)
+        assert (cls.backbone is not None) == (cls.tag in parallel), cls.tag
+    assert tags >= parallel | {"layered", "fully-connected-layered"}
 
 
 def test_classification_label_is_readable():
