@@ -10,7 +10,10 @@ Compilation walks that arithmetic once over structural supports (the
 columns each register value can reach), and every run then works on
 those supports alone. The kept rows' supports are also the shape of H
 that ``structure_certificate`` and ``extract_blocks`` read, so that
-shape does not depend on a draw or a magnitude threshold.
+shape does not depend on a draw or a magnitude threshold. The compiled
+steps also give each support entry an edge bitmask, the edges whose
+gains can reach it; ``extract_blocks`` uses them to probe only the
+edges that reach both a thread entry and a leakage entry.
 
 Reception is slot driven: a node listens in exactly the slots where
 one of its scheduled incoming edges is active, and then hears every
@@ -416,16 +419,41 @@ def structure_certificate(model: TransferModel) -> StructureCertificate:
     return StructureCertificate(kind, ok, err, main_columns=tuple(main))
 
 
+def _edge_masks(prog: PropagationProgram):
+    """One edge bitmask per entry of ``row_values``, in its order.
+
+    Bit i is set when some term summed into the entry multiplies by edge
+    i's gain: a symbol term sets its edge's bit, a register term ORs its
+    source entry's mask with its edge's bit, and an own-noise entry gets
+    mask 0. Read off the compiled steps, so an entry whose mask lacks
+    bit i replays bit-identically whatever edge i's gain is.
+    """
+    masks = {}
+    for v, size, terms, _, frees in prog._steps:
+        acc = [0] * size
+        for src, gidx, where in terms:
+            bit = 1 << gidx
+            pos = range(size)[where] if isinstance(where, slice) else where
+            for p, m in zip(pos, (0,) if src is None else masks[src]):
+                acc[p] |= m | bit
+        masks[v] = acc
+        for u in frees:
+            del masks[u]
+    return [m for v in prog._row_values for m in masks[v]]
+
+
 def extract_blocks(model: TransferModel):
     """Split H into its dominant diagonal and the leakage remainder.
 
     Returns (h_diag, h_rest, independent): h_diag keeps only each row's
     thread entry, h_rest the others. ``independent`` is True when no
-    single edge gain feeds both parts, established by rerunning the
-    model's own program with each edge gain perturbed in turn and
-    watching which entries move. The split takes each row's main column
-    from the compiled supports, as ``structure_certificate`` does, and
-    runs no thread check.
+    single edge gain feeds both parts. ``_edge_masks`` names the edges
+    that can reach the thread entries and those that can reach the other
+    H entries; only an edge in both can feed both, so only those are
+    probed, by replaying the model's own program with that edge gain
+    perturbed and watching which H entries move. The split takes each
+    row's main column from the compiled supports, as
+    ``structure_certificate`` does, and runs no thread check.
     """
     kind, main, _ = _structure(model)
     if kind == "none":
@@ -440,12 +468,26 @@ def extract_blocks(model: TransferModel):
     if np.abs(h_rest).max() > 0:
         scale = np.abs(h).max()
         prog = model.program
+        # the kept rows' compact H entries, in row_values order: an entry
+        # outside the supports is zero on every draw and never moves, and
+        # only an edge in the masks of both a thread entry and another
+        # entry can move both
+        rows = np.repeat(np.arange(len(main)), [len(c) for c in prog.row_support])
+        cols = np.concatenate(prog.row_support)
+        in_h = cols < len(prog.kept_cols)
+        rows, cols = rows[in_h], cols[in_h]
+        thread = cols == np.asarray(main)[rows]
+        masks = np.array(_edge_masks(prog), dtype=object)[in_h]
+        shared = np.bitwise_or.reduce(masks[thread]) & np.bitwise_or.reduce(masks[~thread])
+        ref = h[rows, cols]
         base = prog.gain_vector(model.fading)
         for i in range(prog.n_edges):
+            if not shared >> i & 1:
+                continue
             gains = base.copy()
             gains[i] *= 1.001 + 0.002j
-            moved = np.abs(prog.run(gains)[0][0] - h) > 1e-6 * scale
-            if (moved & diag_mask).any() and (moved & ~diag_mask).any():
+            moved = np.abs(prog.row_values(gains)[in_h, 0] - ref) > 1e-6 * scale
+            if (moved & thread).any() and (moved & ~thread).any():
                 independent = False
                 break
     return h_diag, h_rest, independent

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -38,6 +39,17 @@ class _Usage(Exception):
 # ---------------------------------------------------------------------------
 # argument plumbing
 
+def _finite(text):
+    """argparse type: a float that is neither infinite nor NaN."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="relaydmt",
@@ -58,11 +70,11 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--family-params", default="", metavar="K=V,...",
                         help="extra knobs: " + ", ".join(_PARAM_KEYS))
         if snr:
-            sp.add_argument("--snr-min", type=float, default=10.0,
+            sp.add_argument("--snr-min", type=_finite, default=10.0,
                             help="lowest SNR grid point in dB (default 10)")
-            sp.add_argument("--snr-max", type=float, default=40.0,
+            sp.add_argument("--snr-max", type=_finite, default=40.0,
                             help="highest SNR grid point in dB (default 40)")
-            sp.add_argument("--snr-step", type=float, default=5.0,
+            sp.add_argument("--snr-step", type=_finite, default=5.0,
                             help="grid spacing in dB (default 5)")
             sp.add_argument("--trials", type=int, default=10_000,
                             help="fading draws per grid point (default 10000)")
@@ -75,7 +87,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add("analyze", "analytic diversity-multiplexing curves")
     add("simulate", "Monte Carlo outage sweep", snr=True)
     cp = add("compare", "analytic curve vs simulated slope", snr=True)
-    cp.add_argument("--tolerance", type=float, default=0.5,
+    cp.add_argument("--tolerance", type=_finite, default=0.5,
                     help="|analytic - fitted| allowance in the table "
                          "(default 0.5)")
     return p
@@ -113,6 +125,8 @@ def _parse_rates(text):
             r = float(t)
         except ValueError:
             raise _Usage(f"rate {t!r} is not a number") from None
+        if not math.isfinite(r):
+            raise _Usage(f"rate {t!r} is not finite")
         if r < 0:
             raise _Usage("rates must be nonnegative")
         rates.append(r)
@@ -134,6 +148,8 @@ def _snr_grid(args):
 def _plan(args, params):
     if args.trials < 1:
         raise _Usage("--trials must be at least 1")
+    if args.seed < 0:
+        raise _Usage("--seed must be nonnegative")
     # only the knobs the user set; SimPlan holds the defaults
     knobs = {k: v for k, v in params.items()
              if k in ("cycles", "count_floor", "fit_points")}

@@ -278,18 +278,19 @@ def test_model_keeps_the_program_that_built_it(family):
     assert g[0].tobytes() == model.noise.tobytes()
 
 
-@pytest.mark.parametrize("mknet", [
-    lambda: layered_network((1, 2, 2, 2, 1)),
-    lambda: kpp_network((2, 3, 4, 2), direct_link=True),
+@pytest.mark.parametrize("mknet,probed", [
+    (lambda: layered_network((1, 2, 2, 2, 1)), True),
+    (lambda: kpp_network((2, 3, 4, 2), direct_link=True), False),
 ], ids=["layered12221", "kppD2342"])
-def test_model_analysis_compiles_one_program(mknet, monkeypatch):
+def test_model_analysis_compiles_one_program(mknet, probed, monkeypatch):
     # propagate compiles; the certificate and the leakage probes reuse
     # it, and extract_blocks reads the shape without certifying again
     net = mknet()
     sched = auto_schedule(net)
-    compiled, certified = [], []
+    compiled, certified, replays = [], [], []
     init = PropagationProgram.__init__
     certify = channel.structure_certificate
+    replay = PropagationProgram.row_values
 
     def counting_init(self, *args):
         compiled.append(args)
@@ -299,12 +300,20 @@ def test_model_analysis_compiles_one_program(mknet, monkeypatch):
         certified.append(model)
         return certify(model)
 
+    def counting_replay(self, gains):
+        replays.append(gains)
+        return replay(self, gains)
+
     monkeypatch.setattr(PropagationProgram, "__init__", counting_init)
     monkeypatch.setattr(channel, "structure_certificate", counting_certify)
     model = propagate(net, sched, FadingRealization.sample(net, 4), cycles=4)
     assert channel.structure_certificate(model).kind != "none"
+    monkeypatch.setattr(PropagationProgram, "row_values", counting_replay)
     _, h_rest, _ = extract_blocks(model)
-    assert np.abs(h_rest).max() > 0      # the probes did run
+    assert np.abs(h_rest).max() > 0
+    # the layered coloring's thread and leakage share gains, so some edge
+    # is probed; the buffered direct link's leakage uses gains of its own
+    assert (len(replays) > 0) is probed
     assert len(compiled) == 1
     assert len(certified) == 1
 
@@ -480,6 +489,81 @@ def test_extract_blocks_split_and_independence():
         np.testing.assert_allclose(h_diag + h_rest, model.h, rtol=1e-15)
         assert np.abs(h_rest).max() > 0
         assert independent is want
+
+
+MASKED_FAMILIES = {
+    "kpp234": lambda: kpp_network((2, 3, 4)),
+    "kppD2342": lambda: kpp_network((2, 3, 4, 2), direct_link=True),
+    "layered12221": lambda: layered_network((1, 2, 2, 2, 1)),
+    "saf2": lambda: saf_network(2),
+    "kppI4": lambda: kpp_network((2, 3, 3, 4), cross_links=[((1, 1), (2, 1))]),
+}
+
+
+@pytest.mark.parametrize("family", sorted(MASKED_FAMILIES))
+def test_edge_masks_name_the_gains_each_entry_replays(family):
+    # the premise of probing only shared edges: perturbing gain i leaves
+    # every entry whose mask lacks bit i bit-identical and moves the rest
+    net = MASKED_FAMILIES[family]()
+    prog = PropagationProgram(net, auto_schedule(net), 4)
+    masks = channel._edge_masks(prog)
+    base = prog.gain_vector(FadingRealization.sample(net, 2))
+    vals = prog.row_values(base)[:, 0]
+    assert len(masks) == len(vals)
+    for i in range(prog.n_edges):
+        gains = base.copy()
+        gains[i] *= 1.001 + 0.002j
+        moved = prog.row_values(gains)[:, 0] != vals
+        has = np.array([m >> i & 1 for m in masks], dtype=bool)
+        assert not moved[~has].any(), i
+        assert moved[has].all(), i
+
+
+def _all_edges_probe(model):
+    """(h_diag, h_rest, independent) with every edge probed: the loop
+    extract_blocks ran before edge masks picked the shared edges."""
+    _, main, _ = channel._structure(model)
+    h = model.h
+    diag_mask = np.zeros(h.shape, dtype=bool)
+    diag_mask[np.arange(h.shape[0]), main] = True
+    h_diag = np.where(diag_mask, h, 0)
+    h_rest = h - h_diag
+    if np.abs(h_rest).max() > 0:
+        prog = model.program
+        base = prog.gain_vector(model.fading)
+        for i in range(prog.n_edges):
+            gains = base.copy()
+            gains[i] *= 1.001 + 0.002j
+            moved = np.abs(prog.run(gains)[0][0] - h) > 1e-6 * np.abs(h).max()
+            if (moved & diag_mask).any() and (moved & ~diag_mask).any():
+                return h_diag, h_rest, False
+    return h_diag, h_rest, True
+
+
+@pytest.mark.parametrize("mknet,flags", [
+    (naf_network, None),
+    (lambda: saf_network(2), None),
+    (lambda: kpp_network((2, 2, 2)), None),
+    (lambda: layered_network((1, 2, 2, 2, 1)), None),
+    (lambda: kpp_network((2, 3, 4, 2), direct_link=True), None),
+    # the magnitude probe misses the shared thread edges at seeds 8 and
+    # 9; the strict xfail below keeps that defect visible
+    (lambda: kpp_network((4, 5)), [False] * 8 + [True] * 2),
+], ids=["naf", "saf2", "kpp222", "layered12221", "kppD2342", "kpp45"])
+def test_extract_blocks_matches_all_edges_probe(mknet, flags):
+    net = mknet()
+    sched = auto_schedule(net)
+    got_flags = []
+    for seed in range(10):
+        model = propagate(net, sched, FadingRealization.sample(net, seed),
+                          cycles=4)
+        want, got = _all_edges_probe(model), extract_blocks(model)
+        assert got[0].tobytes() == want[0].tobytes(), seed
+        assert got[1].tobytes() == want[1].tobytes(), seed
+        assert got[2] is want[2], seed
+        got_flags.append(got[2])
+    if flags is not None:
+        assert got_flags == flags
 
 
 @pytest.mark.xfail(strict=True, reason=(

@@ -201,6 +201,24 @@ def test_simulate_usage_errors(nets, capsys):
         (["simulate", "--network", nets["naf"], "--out", "x.csv",
           "--family-params", "cycles=abc"], "integer"),
         (["simulate", "--network", nets["naf"]], "--out"),
+        # non-finite numbers: an infinite --snr-max used to grow the SNR
+        # grid forever, NaN gave an empty grid or NaN rates and exit 0
+        (["simulate", "--network", nets["naf"], "--out", "x.csv",
+          "--snr-max", "inf"], "--snr-max"),
+        (["simulate", "--network", nets["naf"], "--out", "x.csv",
+          "--snr-max", "nan"], "--snr-max"),
+        (["simulate", "--network", nets["naf"], "--out", "x.csv",
+          "--snr-min=-inf"], "--snr-min"),
+        (["simulate", "--network", nets["naf"], "--out", "x.csv",
+          "--snr-step", "nan"], "--snr-step"),
+        (["simulate", "--network", nets["naf"], "--out", "x.csv",
+          "--rates", "0.5,nan"], "not finite"),
+        (["simulate", "--network", nets["naf"], "--out", "x.csv",
+          "--rates", "inf"], "not finite"),
+        (["compare", "--network", nets["naf"], "--rates", "0.5",
+          "--tolerance", "nan"], "--tolerance"),
+        (["simulate", "--network", nets["naf"], "--out", "x.csv",
+          "--seed", "-1"], "--seed"),
     ]
     for argv, needle in cases:
         assert main(argv) == 2, argv
