@@ -17,7 +17,7 @@ from relaydmt import (color_kpp_general, color_kpp_three, color_kpp_two,
 from relaydmt.protocol import auto_schedule
 
 net = kpp_network((2, 3, 4))
-sched = color_kpp_three((2, 3, 4), net)
+sched = color_kpp_three(net)
 rep = validate_orthogonal(net, sched)
 
 print("three paths, lengths (2,3,4)")
@@ -28,18 +28,21 @@ print("constraints:", ", ".join(k for k, v in rep.constraints.items() if v))
 print("back-flow nodes:", rep.backflow_nodes or "none")
 print()
 
-# More paths: the general construction handles any K >= 4.
-big = color_kpp_general((2, 5, 3, 8, 4))
+# More paths: the general construction handles any K >= 4. Every
+# constructor reads the paths and their lengths off the network itself.
+five = kpp_network((2, 5, 3, 8, 4))
+big = color_kpp_general(five)
 print("five paths: cycle", big.cycle_length, "rate",
-      validate_orthogonal(kpp_network((2, 5, 3, 8, 4)), big).rate)
+      validate_orthogonal(five, big).rate)
 print()
 
 # Two paths are the tight spot. An even total length still colors at
 # rate 1; an odd total forces one idle slot in a long super-cycle.
 print("two-path rates by length pair:")
 for n1, n2 in [(2, 2), (2, 3), (3, 3), (3, 4), (4, 7)]:
-    sched2 = color_kpp_two(n1, n2)
-    rep2 = validate_orthogonal(kpp_network((n1, n2)), sched2)
+    two = kpp_network((n1, n2))
+    sched2 = color_kpp_two(two)
+    rep2 = validate_orthogonal(two, sched2)
     print(f"  ({n1},{n2}): rate {rep2.rate}  (cycle {sched2.cycle_length})")
 print()
 

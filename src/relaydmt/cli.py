@@ -30,6 +30,8 @@ from .protocol import (auto_schedule, kppI_schedule, saf_schedule,
 OK, USAGE, DATA, INTERNAL = 0, 2, 3, 4
 
 _PARAM_KEYS = ("cycles", "frames", "saf_slots", "fit_points", "count_floor")
+# every SNR point is a full sweep; a longer grid is a typo, not a plan
+_MAX_SNR_POINTS = 10_000
 
 
 class _Usage(Exception):
@@ -138,9 +140,15 @@ def _snr_grid(args):
         raise _Usage("--snr-step must be positive")
     if args.snr_max < args.snr_min:
         raise _Usage("--snr-max is below --snr-min")
+    if (args.snr_max - args.snr_min) / args.snr_step >= _MAX_SNR_POINTS:
+        raise _Usage(f"--snr-step {args.snr_step:g} gives more than "
+                     f"{_MAX_SNR_POINTS} SNR points")
     grid, v = [], args.snr_min
     while v <= args.snr_max + 1e-9:
         grid.append(round(v, 9))
+        if v + args.snr_step == v:
+            raise _Usage(f"--snr-step {args.snr_step:g} is lost in rounding "
+                         f"at {v:g} dB")
         v += args.snr_step
     return tuple(grid)
 

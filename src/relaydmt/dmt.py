@@ -295,7 +295,7 @@ def family_dmt(net: Network) -> FamilyAnalysis:
         return FamilyAnalysis(cls.label, curve, curve, True)
 
     if tag == "KPP" and K == 2:
-        n1, n2 = cls.backbone.lengths
+        n1, n2 = sorted(cls.backbone.lengths)
         if (n1 + n2) % 2 == 0:
             curve = linear_curve(2)
             return FamilyAnalysis(cls.label, curve, curve, True)

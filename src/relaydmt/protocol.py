@@ -21,7 +21,7 @@ from heapq import heappop, heappush
 
 from .netgraph import (
     Network, PathSet, _fully_connected, classify, edge_disjoint_paths,
-    forward_paths, is_relay_bank, kpp_network)
+    forward_paths, is_relay_bank)
 
 
 class SchedulingError(ValueError):
@@ -157,18 +157,13 @@ def validate_orthogonal(net: Network, sched: Schedule) -> OrthogonalityReport:
 # ---------------------------------------------------------------------------
 # schedule assembly helpers
 
-def _resolve_backbone(lengths, net):
-    """Return (net, paths) for the given lengths, building a plain
-    parallel-path network when none is supplied."""
-    if net is None:
-        net = kpp_network(lengths)
+def _backbone(net):
+    """The network's parallel paths, in classification order; each has
+    at least two edges and there are at least two of them."""
     cls = classify(net)
     if cls.backbone is None:
         raise SchedulingError(f"network is {cls.label}, need parallel paths")
-    paths = list(cls.backbone)
-    if tuple(len(p) - 1 for p in paths) != tuple(lengths):
-        raise SchedulingError("lengths do not match the network's paths")
-    return net, paths
+    return cls.backbone
 
 
 def _from_slot_sets(paths, slot_sets, N, **fields):
@@ -234,26 +229,24 @@ def _max_span(colors, N):
 # ---------------------------------------------------------------------------
 # parallel-path colorings
 
-def color_kpp_general(lengths, net=None) -> Schedule:
+def color_kpp_general(net: Network) -> Schedule:
     """Rate-1 coloring for K >= 4 paths: cycle the first three slots
-    i, i+1, i+2 along each path and close with slot i+3. Back-flow free
-    for every K >= 4 and all lengths >= 2."""
-    K = len(lengths)
+    i, i+1, i+2 along path i of the network's backbone and close with
+    slot i+3. Back-flow free for every K >= 4 and all lengths >= 2."""
+    backbone = _backbone(net)
+    K = len(backbone)
     if K < 4:
         raise SchedulingError("need at least four paths")
-    if any(n < 2 for n in lengths):
-        raise SchedulingError("paths must have at least two edges")
-    net, paths = _resolve_backbone(lengths, net)
     colors = []
-    for i, n in enumerate(lengths):
+    for i, n in enumerate(backbone.lengths):
         cols = [(i + (j % 3)) % K for j in range(n - 1)]
         cols.append((i + 3) % K)
         colors.append(cols)
-    return _assemble(paths, colors, K)
+    return _assemble(backbone, colors, K)
 
 
-def color_kpp_three(lengths, net=None) -> Schedule:
-    """Rate-1 coloring for exactly three paths.
+def color_kpp_three(net: Network) -> Schedule:
+    """Rate-1 coloring for a network of exactly three paths.
 
     The construction depends on l, the number of path lengths that are
     1 mod 3. Paths with such lengths are moved to the front (stable
@@ -264,11 +257,10 @@ def color_kpp_three(lengths, net=None) -> Schedule:
     impossible, and the fallback puts one such node on each of the
     first two paths instead.
     """
-    if len(lengths) != 3:
+    backbone = _backbone(net)
+    if len(backbone) != 3:
         raise SchedulingError("need exactly three paths")
-    if any(n < 2 for n in lengths):
-        raise SchedulingError("paths must have at least two edges")
-    net, paths = _resolve_backbone(lengths, net)
+    lengths = backbone.lengths
 
     order = sorted(range(3), key=lambda i: 0 if lengths[i] % 3 == 1 else 1)
     n = [lengths[i] for i in order]
@@ -306,11 +298,12 @@ def color_kpp_three(lengths, net=None) -> Schedule:
     unsorted_cols = [None] * 3
     for pos, i in enumerate(order):
         unsorted_cols[i] = cols[pos]
-    return _assemble(paths, unsorted_cols, 3)
+    return _assemble(backbone, unsorted_cols, 3)
 
 
-def color_kpp_two(n1, n2, net=None) -> Schedule:
-    """Maximum-rate coloring for two paths, n1 <= n2.
+def color_kpp_two(net: Network) -> Schedule:
+    """Maximum-rate coloring for a network of two paths whose first
+    backbone path (n1 edges) is no longer than its second (n2 edges).
 
     Even n1 + n2: two slots suffice, alternating around the cycle
     formed by the two paths, rate 1. Odd n1 + n2: cycle length 2*n2;
@@ -319,32 +312,36 @@ def color_kpp_two(n1, n2, net=None) -> Schedule:
     recedes one hop per wave. Rate (2*n2 - 1) / (2*n2), which is the
     maximum any orthogonal schedule can reach here.
     """
-    if not (2 <= n1 <= n2):
-        raise SchedulingError("need 2 <= n1 <= n2")
-    net, paths = _resolve_backbone((n1, n2), net)
+    backbone = _backbone(net)
+    if len(backbone) != 2:
+        raise SchedulingError("need exactly two paths")
+    n1, n2 = backbone.lengths
+    if n1 > n2:
+        raise SchedulingError(
+            f"first path ({n1} edges) is longer than the second ({n2})")
 
     if (n1 + n2) % 2 == 0:
         colors = [[j % 2 for j in range(n1)],
                   [(n1 + n2 - k - 1) % 2 for k in range(n2)]]
-        return _assemble(paths, colors, 2)
+        return _assemble(backbone, colors, 2)
 
     # wave w of the long path pauses once it reaches hop n2 - w
     N = 2 * n2
     short = [range(j % 2, N, 2) for j in range(n1)]
     long = [{(2 * w + 1 + j + (j + 1 >= n2 - w)) % N for w in range(n2 - 1)}
             for j in range(n2)]
-    return _from_slot_sets(paths, [short, long], N, steady_state_delay=N)
+    return _from_slot_sets(backbone, [short, long], N, steady_state_delay=N)
 
 
-def color_regular(K, L, net=None) -> Schedule:
-    """Continuous coloring for K paths of L+1 edges: edge j of path i
-    is active in slot (i + j) mod K."""
-    if K < 2 or L < 1:
-        raise SchedulingError("need K >= 2 and L >= 1")
-    lengths = (L + 1,) * K
-    net, paths = _resolve_backbone(lengths, net)
-    colors = [[(i + j) % K for j in range(L + 1)] for i in range(K)]
-    return _assemble(paths, colors, K)
+def color_regular(net: Network) -> Schedule:
+    """Continuous coloring for K paths of equal length: edge j of path
+    i is active in slot (i + j) mod K."""
+    backbone = _backbone(net)
+    if len(set(backbone.lengths)) != 1:
+        raise SchedulingError("paths differ in length")
+    K, n = len(backbone), backbone.lengths[0]
+    colors = [[(i + j) % K for j in range(n)] for i in range(K)]
+    return _assemble(backbone, colors, K)
 
 
 # ---------------------------------------------------------------------------
@@ -374,9 +371,9 @@ def _lex_matching(allowed):
     return pick
 
 
-def almost_continuous_schedule(lengths, net=None, delays=None) -> Schedule:
-    """Rate-1 schedule where every relay past the first forwards in the
-    next slot (plus any per-node added delay).
+def almost_continuous_schedule(net: Network, delays=None) -> Schedule:
+    """Rate-1 schedule for K >= 3 backbone paths where every relay past
+    the first forwards in the next slot (plus any per-node added delay).
 
     Path start slots are the path indices after a stable sort by length
     mod K (delays included), which guarantees the last-edge slots can
@@ -384,10 +381,10 @@ def almost_continuous_schedule(lengths, net=None, delays=None) -> Schedule:
     freedom is a pause at each path's first relay; it is set by a
     lexicographically smallest matching of paths to closing slots.
     """
-    K = len(lengths)
+    backbone = _backbone(net)
+    paths, lengths, K = backbone.paths, backbone.lengths, len(backbone)
     if K < 3:
         raise SchedulingError("need at least three paths")
-    net, paths = _resolve_backbone(lengths, net)
     delays = dict(delays or {})
     for node, d in delays.items():
         if d < 0:
@@ -514,25 +511,24 @@ def balance_delays_kpp3(net: Network, per_node_bound=None) -> dict:
     variable), but that is exactly what makes some shortcuts fixable.
     Raises DelaySearchError when the bounded search is exhausted.
     """
-    cls = classify(net)
-    if cls.backbone is None or cls.K != 3:
+    backbone = _backbone(net)
+    if len(backbone) != 3:
         raise SchedulingError("need a three-path network")
-    lengths = cls.backbone.lengths
     K = 3
     if per_node_bound is None:
-        per_node_bound = 2 * max(lengths)
+        per_node_bound = 2 * max(backbone.lengths)
 
     def probe(delays):
         sched = Schedule(
-            cycle_length=K, activations={}, backbone=cls.backbone,
+            cycle_length=K, activations={}, backbone=backbone,
             added_delays=delays, symbols_per_cycle=K)
         return check_causal_interference(net, sched).ok
 
     if probe({}):
         return {}
-    firsts = {path[1] for path in cls.backbone}
+    firsts = {path[1] for path in backbone}
     nodes = []
-    for path in cls.backbone:
+    for path in backbone:
         for v in path[1:-1]:
             if v not in nodes:
                 nodes.append(v)
@@ -582,15 +578,12 @@ def kppI_schedule(net: Network, frames_per_segment=None) -> Schedule:
     resume when the path is next activated, so each path still lands
     one symbol per frame of every segment containing it.
     """
-    cls = classify(net)
-    if cls.backbone is None or cls.K < 3:
+    backbone = _backbone(net)
+    paths, lengths, K = backbone.paths, backbone.lengths, len(backbone)
+    if K < 3:
         raise SchedulingError("need at least three parallel paths")
-    paths = list(cls.backbone)
-    lengths = [len(p) - 1 for p in paths]
-    K = cls.K
     if K == 3:
-        delays = balance_delays_kpp3(net)
-        return almost_continuous_schedule(lengths, net, delays)
+        return almost_continuous_schedule(net, balance_delays_kpp3(net))
 
     if frames_per_segment is None:
         frames_per_segment = max(lengths)
@@ -602,8 +595,7 @@ def kppI_schedule(net: Network, frames_per_segment=None) -> Schedule:
         sub_paths = [paths[i] for i in combo]
         sub_net = _restrict_to_paths(net, sub_paths)
         delays = balance_delays_kpp3(sub_net)
-        sub = almost_continuous_schedule(
-            tuple(lengths[i] for i in combo), sub_net, delays)
+        sub = almost_continuous_schedule(sub_net, delays)
         frames = range(seg * 3 * F, (seg + 1) * 3 * F, 3)
         for i in combo:
             for sets, pair in zip(slot_sets[i], _path_edges(paths[i])):
@@ -616,32 +608,33 @@ def kppI_schedule(net: Network, frames_per_segment=None) -> Schedule:
 # ---------------------------------------------------------------------------
 # direct link: buffered operation
 
-def kppD_schedule(net: Network, base: Schedule | None = None) -> Schedule:
-    """Backbone coloring plus a direct link used in every slot.
+def kppD_schedule(net: Network) -> Schedule:
+    """Backbone schedule plus a direct link used in every slot.
 
-    Requires a back-flow-free rate-1 backbone schedule (any K >= 4, or
-    K = 3 with at most one length equal to 1 mod 3 or all three). The
-    source sends a fresh symbol on the direct link every slot; each
-    relay feeding the sink buffers arrivals in a queue primed so that
-    all relayed symbols show a near-uniform lag, after which every
-    symbol reaches the sink once directly and once through one path.
+    The backbone schedule is ``kppI_schedule`` when the paths have
+    inter-path links and the parallel-path coloring otherwise; it must
+    be back-flow free and rate 1 (for the coloring: any K >= 4, or K = 3
+    with at most one length equal to 1 mod 3 or all three). The source
+    sends a fresh symbol on the direct link every slot; each relay
+    feeding the sink buffers arrivals in a queue primed so that all
+    relayed symbols show a near-uniform lag, after which every symbol
+    reaches the sink once directly and once through one path.
     """
     cls = classify(net)
     if not cls.has_direct or cls.backbone is None:
         raise SchedulingError("need parallel paths plus a direct link")
-    K = cls.K
-    lengths = cls.backbone.lengths
-    if base is None:
-        if K >= 4:
-            base = color_kpp_general(lengths, net)
-        elif K == 3:
-            base = color_kpp_three(lengths, net)
-            if validate_orthogonal(net, base).backflow_nodes:
-                raise SchedulingError(
-                    "three-path coloring for these lengths cannot avoid "
-                    "downstream overlap, so buffered operation is unsafe")
-        else:
-            raise SchedulingError("need at least three paths for buffering")
+    if cls.has_interference:
+        base = kppI_schedule(net)
+    elif cls.K >= 4:
+        base = color_kpp_general(net)
+    elif cls.K == 3:
+        base = color_kpp_three(net)
+        if validate_orthogonal(net, base).backflow_nodes:
+            raise SchedulingError(
+                "three-path coloring for these lengths cannot avoid "
+                "downstream overlap, so buffered operation is unsafe")
+    else:
+        raise SchedulingError("need at least three paths for buffering")
     report = validate_orthogonal(net, base)
     if not report.ok or report.rate != 1 or report.backflow_nodes:
         raise SchedulingError("base schedule must be clean and rate 1")
@@ -850,24 +843,22 @@ def auto_schedule(net: Network) -> Schedule:
         return single_link_schedule(net)
     cls = classify(net)
     if cls.tag == "regular":
-        return color_regular(cls.K, cls.L, net)
+        return color_regular(net)
     if cls.backbone is not None:
         if cls.has_direct:
-            base = kppI_schedule(net) if cls.has_interference else None
             try:
-                return kppD_schedule(net, base)
+                return kppD_schedule(net)
             except SchedulingError:
                 if is_relay_bank(net):
                     return saf_schedule(net)
                 raise
         if cls.has_interference:
             return kppI_schedule(net)
-        lengths = cls.backbone.lengths
         if cls.K == 2:
-            return color_kpp_two(lengths[0], lengths[1], net)
+            return color_kpp_two(net)
         if cls.K == 3:
-            return color_kpp_three(lengths, net)
-        return color_kpp_general(lengths, net)
+            return color_kpp_three(net)
+        return color_kpp_general(net)
     if cls.tag in ("layered", "fully-connected-layered"):
         return layered_matching_schedule(net)
     if is_relay_bank(net):

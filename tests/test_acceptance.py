@@ -169,8 +169,8 @@ def test_c04_synthesized_colorings_are_clean_rate_one():
         k = rng.randint(3, 6)
         lengths = tuple(rng.randint(2, 8) for _ in range(k))
         net = kpp_network(lengths)
-        sched = (color_kpp_three(lengths, net) if k == 3
-                 else color_kpp_general(lengths, net))
+        sched = (color_kpp_three(net) if k == 3
+                 else color_kpp_general(net))
         rep = validate_orthogonal(net, sched)
         if not rep.ok or rep.rate != 1:
             bad.append((lengths, rep.rate))
@@ -179,7 +179,7 @@ def test_c04_synthesized_colorings_are_clean_rate_one():
     for n1 in range(2, 11):
         for n2 in range(n1, 11):
             net = kpp_network((n1, n2))
-            rep = validate_orthogonal(net, color_kpp_two(n1, n2, net))
+            rep = validate_orthogonal(net, color_kpp_two(net))
             want = 1 if (n1 + n2) % 2 == 0 else Fraction(2 * n2 - 1, 2 * n2)
             if not rep.ok or rep.rate != want:
                 two_path_bad.append((n1, n2, rep.rate))

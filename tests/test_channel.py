@@ -139,12 +139,9 @@ ZOO = [
     ("two-slot relay", naf_network, naf_schedule, 2),
     ("slotted bank 2", lambda: saf_network(2), saf_schedule, 2),
     ("slotted bank 3", lambda: saf_network(3), saf_schedule, 2),
-    ("three paths", lambda: kpp_network((2, 2, 2)),
-     lambda n: color_kpp_three((2, 2, 2), n), 2),
-    ("uneven paths", lambda: kpp_network((2, 3, 4)),
-     lambda n: color_kpp_three((2, 3, 4), n), 2),
-    ("four paths", lambda: kpp_network((2, 3, 2, 4)),
-     lambda n: color_kpp_general((2, 3, 2, 4), n), 2),
+    ("three paths", lambda: kpp_network((2, 2, 2)), color_kpp_three, 2),
+    ("uneven paths", lambda: kpp_network((2, 3, 4)), color_kpp_three, 2),
+    ("four paths", lambda: kpp_network((2, 3, 2, 4)), color_kpp_general, 2),
     ("crossed paths", lambda: kpp_network((2, 2, 4), cross_links=(((3, 1), (1, 1)),)),
      kppI_schedule, 2),
     ("buffered direct", lambda: kpp_network((2, 3, 4), direct_link=True),
@@ -205,7 +202,7 @@ def test_slotted_bank_closed_form():
 
 def test_batched_run_matches_single_draws():
     net = kpp_network((2, 2, 2))
-    sched = color_kpp_three((2, 2, 2), net)
+    sched = color_kpp_three(net)
     prog = PropagationProgram(net, sched, cycles=2)
     fadings = [FadingRealization.sample(net, s) for s in range(3)]
     gains = np.concatenate([prog.gain_vector(f) for f in fadings], axis=1)
@@ -335,8 +332,7 @@ def test_certificates_across_zoo():
     cases = [
         (naf_network(), naf_schedule, "lower-triangular"),
         (saf_network(2), saf_schedule, "lower-triangular"),
-        (kpp_network((2, 2, 2)), lambda n: color_kpp_three((2, 2, 2), n),
-         "diagonal"),
+        (kpp_network((2, 2, 2)), color_kpp_three, "diagonal"),
         (kpp_network((2, 3, 4), direct_link=True), kppD_schedule,
          "lower-triangular"),
         (fd_chain(2), fd_schedule, "diagonal"),
@@ -355,7 +351,7 @@ def test_certificate_thread_values_match_path_products():
     # channel is a permuted diagonal: still one symbol per row, each
     # carrying the whole gain product of its delivering path
     net = kpp_network((2, 3, 4))
-    sched = color_kpp_three((2, 3, 4), net)
+    sched = color_kpp_three(net)
     fading = FadingRealization.sample(net, 9)
     model = propagate(net, sched, fading)
     cert = structure_certificate(model)
@@ -472,7 +468,7 @@ def test_extract_blocks_split_and_independence():
         assert independent
 
     net = kpp_network((2, 2, 2))
-    model = propagate(net, color_kpp_three((2, 2, 2), net),
+    model = propagate(net, color_kpp_three(net),
                       FadingRealization.sample(net, 4))
     _, h_rest, independent = extract_blocks(model)
     assert np.abs(h_rest).max() == 0.0
@@ -662,9 +658,9 @@ def _forward_twin(lengths, **kw):
 
 def test_clean_colorings_never_use_reverse_links():
     for lengths, mksched in [
-        ((2, 2, 2), lambda n: color_kpp_three((2, 2, 2), n)),
-        ((2, 3, 4), lambda n: color_kpp_three((2, 3, 4), n)),
-        ((2, 3, 2, 4), lambda n: color_kpp_general((2, 3, 2, 4), n)),
+        ((2, 2, 2), color_kpp_three),
+        ((2, 3, 4), color_kpp_three),
+        ((2, 3, 2, 4), color_kpp_general),
     ]:
         bidi, fwd = _forward_twin(lengths)
         sched = mksched(bidi)

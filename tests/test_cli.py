@@ -219,6 +219,16 @@ def test_simulate_usage_errors(nets, capsys):
           "--tolerance", "nan"], "--tolerance"),
         (["simulate", "--network", nets["naf"], "--out", "x.csv",
           "--seed", "-1"], "--seed"),
+        # finite grids that never end: the step is lost in rounding, or
+        # the grid would hold 1e15 points
+        (["simulate", "--network", nets["naf"], "--out", "x.csv",
+          "--snr-min", "1e17", "--snr-max", "2e17", "--snr-step", "5"],
+         "SNR points"),
+        (["simulate", "--network", nets["naf"], "--out", "x.csv",
+          "--snr-min", "1e17", "--snr-max", "1e17", "--snr-step", "5"],
+         "lost in rounding"),
+        (["simulate", "--network", nets["naf"], "--out", "x.csv",
+          "--snr-max", "1e12", "--snr-step", "1e-3"], "SNR points"),
     ]
     for argv, needle in cases:
         assert main(argv) == 2, argv

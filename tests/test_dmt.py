@@ -263,6 +263,17 @@ def test_family_two_paths():
     assert fam.notes
 
 
+def test_family_two_paths_ignores_path_order():
+    # the long path listed first must not be mistaken for the short one
+    for short_first in ((2, 3), (2, 5)):
+        a = family_dmt(kpp_network(short_first))
+        b = family_dmt(kpp_network(short_first[::-1]))
+        assert b.achievable.points == a.achievable.points
+        assert b.cutset.points == a.cutset.points and b.tight == a.tight
+    assert family_dmt(kpp_network((5, 2))).achievable.points[-1] == (
+        Fraction(9, 10), 0)
+
+
 def test_family_relay_banks():
     fam = family_dmt(naf_network())
     assert fam.achievable.points == ((0, 2), (Fraction(1, 2), Fraction(1, 2)), (1, 0))

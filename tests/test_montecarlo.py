@@ -218,7 +218,7 @@ def test_backflow_check_clean_coloring_is_exactly_neutral():
     # the coloring never listens while a downstream relay talks, so
     # removing the reverse edges changes nothing, draw for draw
     net = kpp_network((2, 2, 2))
-    sched = color_kpp_three((2, 2, 2), net)
+    sched = color_kpp_three(net)
     pair = backflow_check(net, sched, small_plan(rates=(0.0, 0.4)))
     for key, est in pair.first.estimates.items():
         assert est.outages == pair.second.estimates[key].outages

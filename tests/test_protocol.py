@@ -103,11 +103,13 @@ def assert_clean_flow(sched, cycles=6):
 
 def test_general_coloring_is_clean_for_random_lengths():
     rng = random.Random(20240812)
-    for _ in range(20):
-        K = rng.randint(4, 6)
-        lengths = tuple(rng.randint(2, 8) for _ in range(K))
+    cases = [tuple(rng.randint(2, 8) for _ in range(rng.randint(4, 6)))
+             for _ in range(20)]
+    # ten paths: the backbone lists p10r1 before p2r1
+    cases.append(tuple(range(2, 12)))
+    for lengths in cases:
         net = kpp_network(lengths)
-        sched = color_kpp_general(lengths, net)
+        sched = color_kpp_general(net)
         report = validate_orthogonal(net, sched)
         assert report.ok and report.rate == 1
         assert_clean_flow(sched)
@@ -116,7 +118,7 @@ def test_general_coloring_is_clean_for_random_lengths():
 def test_three_path_coloring_handles_unequal_lengths():
     for lengths in ((2, 2, 2), (2, 2, 4), (2, 3, 4), (3, 3, 5), (2, 8, 8)):
         net = kpp_network(lengths)
-        sched = color_kpp_three(lengths, net)
+        sched = color_kpp_three(net)
         report = validate_orthogonal(net, sched)
         assert report.ok and report.rate == 1, lengths
         assert_clean_flow(sched, cycles=10)
@@ -125,7 +127,7 @@ def test_three_path_coloring_handles_unequal_lengths():
 def test_two_path_rate_formula():
     for n1 in range(2, 11):
         for n2 in range(n1, 11):
-            sched = color_kpp_two(n1, n2)
+            sched = color_kpp_two(kpp_network((n1, n2)))
             want = Fraction(1) if (n1 + n2) % 2 == 0 \
                 else Fraction(2 * n2 - 1, 2 * n2)
             assert sched.rate == want, (n1, n2)
@@ -135,13 +137,13 @@ def test_two_path_rate_formula():
 
 def test_two_path_flow_is_clean():
     for n1, n2 in ((2, 2), (2, 3), (3, 4), (2, 5), (4, 7)):
-        assert_clean_flow(color_kpp_two(n1, n2), cycles=12)
+        assert_clean_flow(color_kpp_two(kpp_network((n1, n2))), cycles=12)
 
 
 def test_regular_coloring_rate_one():
     for K, L in ((2, 1), (3, 1), (3, 2), (4, 3), (6, 2)):
         net = kpp_network((L + 1,) * K)
-        sched = color_regular(K, L, net)
+        sched = color_regular(net)
         report = validate_orthogonal(net, sched)
         assert report.ok and report.rate == 1
         assert_clean_flow(sched)
@@ -149,7 +151,7 @@ def test_regular_coloring_rate_one():
 
 def test_almost_continuous_accepts_explicit_delays():
     net = kpp_network((2, 3, 4))
-    sched = almost_continuous_schedule((2, 3, 4), net, delays={"p3r1": 3})
+    sched = almost_continuous_schedule(net, delays={"p3r1": 3})
     assert sched.added_delays == {"p3r1": 3}
     report = validate_orthogonal(net, sched)
     assert report.ok and report.rate == 1
@@ -157,16 +159,28 @@ def test_almost_continuous_accepts_explicit_delays():
 
 def test_closing_slot_matching_for_many_paths_needs_no_recursion():
     # one matched path per search level: 1000 levels
-    sched = almost_continuous_schedule((2,) * 1000)
+    sched = almost_continuous_schedule(kpp_network((2,) * 1000))
     assert sched.cycle_length == 1000 and sched.rate == 1
 
 
-def test_length_mismatch_is_rejected():
-    net = kpp_network((2, 3))
-    with pytest.raises(SchedulingError):
-        color_kpp_two(3, 3, net)
-    with pytest.raises(SchedulingError):
-        color_kpp_three((2, 2, 2), net)
+def test_constructor_for_another_family_is_rejected():
+    cases = [
+        (color_kpp_two, (2, 3, 4)),
+        (color_kpp_three, (2, 3)),
+        (color_kpp_general, (2, 3, 4)),
+        (color_regular, (2, 3)),
+        (almost_continuous_schedule, (2, 3)),
+    ]
+    for build, lengths in cases:
+        with pytest.raises(SchedulingError):
+            build(kpp_network(lengths))
+
+
+def test_two_path_coloring_needs_the_short_path_first():
+    # the backbone keeps the network's path order; sorting the paths
+    # here would change which KPP(n1 > n2) networks auto_schedule takes
+    with pytest.raises(SchedulingError, match="longer"):
+        color_kpp_two(kpp_network((3, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -229,10 +243,10 @@ def test_backflow_is_reported_but_legal():
 
 def test_synthesized_colorings_are_backflow_free():
     cases = [
-        color_kpp_three((2, 2, 4), kpp_network((2, 2, 4))),
-        color_kpp_two(2, 3),
-        color_regular(3, 2, kpp_network((3, 3, 3))),
-        color_kpp_general((2, 5, 3, 7), kpp_network((2, 5, 3, 7))),
+        color_kpp_three(kpp_network((2, 2, 4))),
+        color_kpp_two(kpp_network((2, 3))),
+        color_regular(kpp_network((3, 3, 3))),
+        color_kpp_general(kpp_network((2, 5, 3, 7))),
     ]
     for sched in cases:
         net = kpp_network(tuple(len(p) - 1 for p in sched.backbone))
@@ -318,6 +332,23 @@ def test_buffered_schedule_needs_three_paths():
         kppD_schedule(kpp_network((2, 3), direct_link=True))
 
 
+def test_buffered_schedule_picks_the_interference_base_itself():
+    # KPP(I,D): the direct call and the dispatcher agree on the base
+    # schedule, so both honour the cross link or both refuse
+    def kppID(lengths, link):
+        return kpp_network(lengths, direct_link=True, cross_links=[link],
+                           bidirectional=False)
+
+    net = kppID((4, 4, 4), ((1, 2), (2, 2)))
+    assert classify(net).tag == "KPP(I,D)"
+    assert kppD_schedule(net) == auto_schedule(net)
+    net = kppID((2, 3, 4), ((1, 1), (2, 1)))
+    with pytest.raises(SchedulingError):
+        kppD_schedule(net)
+    with pytest.raises(SchedulingError):
+        auto_schedule(net)
+
+
 # ---------------------------------------------------------------------------
 # layered and reference schedules
 
@@ -390,8 +421,8 @@ PINNED = {
        for p in ((1, 2, 3, 1), (1, 3, 2, 1), (1, 2, 2, 2, 1))},
     "saf3-M2": lambda: saf_schedule(saf_network(3), 2),
     "saf3-M8": lambda: saf_schedule(saf_network(3), 8),
-    "kpp25": lambda: color_kpp_two(2, 5),
-    "kpp47": lambda: color_kpp_two(4, 7),
+    "kpp25": lambda: color_kpp_two(kpp_network((2, 5))),
+    "kpp47": lambda: color_kpp_two(kpp_network((4, 7))),
     "naf": lambda: naf_schedule(naf_network()),
 }
 
@@ -454,7 +485,7 @@ def test_auto_schedule_layered_dispatch():
 # serialization
 
 def test_dict_round_trip():
-    for sched in (color_kpp_three((2, 3, 4)),
+    for sched in (color_kpp_three(kpp_network((2, 3, 4))),
                   kppD_schedule(kpp_network((2, 3, 4), direct_link=True)),
                   naf_schedule(naf_network())):
         clone = schedule_from_dict(schedule_to_dict(sched))
@@ -462,7 +493,7 @@ def test_dict_round_trip():
 
 
 def test_file_round_trip(tmp_path):
-    sched = color_kpp_two(2, 3)
+    sched = color_kpp_two(kpp_network((2, 3)))
     path = tmp_path / "sched.json"
     save_schedule(sched, path)
     assert load_schedule(path) == sched
