@@ -174,8 +174,14 @@ def _require_out(args):
 
 
 def _schedule_for(net, params):
-    cls = classify(net)
-    if "frames" in params and cls.tag in ("KPP(I)", "KPP(I,D)"):
+    if "frames" in params:
+        # frames sets the segment length, and only KPP(I) with K >= 4
+        # has segments; elsewhere it would bypass auto_schedule's choice
+        cls = classify(net)
+        if cls.tag != "KPP(I)" or cls.K < 4:
+            paths = f" with {cls.K} paths" if cls.K else ""
+            raise _Usage(f"--family-params frames needs a KPP(I) network "
+                         f"with at least four paths, not {cls.label}{paths}")
         return kppI_schedule(net, params["frames"])
     if "saf_slots" in params:
         return saf_schedule(net, params["saf_slots"])

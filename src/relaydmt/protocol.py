@@ -41,7 +41,9 @@ class Schedule:
     the index of the path whose symbol lands there: the slots of that
     path's last edge (the direct link, when used, is bookkept
     separately). ``path_counts`` holds the per-path symbol counts m_i,
-    the sizes of those last-edge slot sets.
+    the sizes of those last-edge slot sets. ``params`` holds the
+    construction's settings as plain JSON values, stored and loaded
+    as they are.
     """
 
     cycle_length: int
@@ -381,7 +383,10 @@ def almost_continuous_schedule(net: Network, delays=None) -> Schedule:
     freedom is a pause at each path's first relay; it is set by a
     lexicographically smallest matching of paths to closing slots.
     """
-    backbone = _backbone(net)
+    return _almost_continuous(_backbone(net), delays)
+
+
+def _almost_continuous(backbone, delays):
     paths, lengths, K = backbone.paths, backbone.lengths, len(backbone)
     if K < 3:
         raise SchedulingError("need at least three paths")
@@ -442,8 +447,9 @@ class CausalReport:
         return all(a and b for a, b in self.per_path)
 
 
-def _dijkstra_counted(net, delays, start):
-    """Shortest delays from start, counting shortest routes (capped at 2).
+def _dijkstra_counted(net, delays, start, keep):
+    """Shortest delays from start over the nodes in ``keep``, counting
+    shortest routes (capped at 2).
 
     Edge (u, v) costs 1 plus the added delay of v, so a route's cost is
     its hop count plus the delays of the nodes it forwards through;
@@ -459,6 +465,8 @@ def _dijkstra_counted(net, delays, start):
             continue
         done.add(u)
         for v in net.out_neighbors[u]:
+            if v not in keep:
+                continue
             w = d + 1 + delays.get(v, 0)
             if v not in dist or w < dist[v]:
                 dist[v] = w
@@ -477,16 +485,19 @@ def check_causal_interference(net: Network, sched: Schedule) -> CausalReport:
     condition 1 - no route from v to the sink is shorter than the
     backbone tail; condition 2 - the backbone segment is the unique
     shortest route from v to u.
+    Routes run over the schedule's backbone nodes only: a relay off the
+    backbone is never active, so it cannot forward leakage.
     """
     if sched.backbone is None:
         raise SchedulingError("schedule carries no path decomposition")
     delays = sched.added_delays
+    keep = {v for path in sched.backbone for v in path}
     results = []
     details = []
     for path in sched.backbone:
         v, u, d = path[1], path[-2], path[-1]
         tail_weight = (len(path) - 2) + sum(delays.get(w, 0) for w in path[2:-1])
-        dist, count = _dijkstra_counted(net, delays, v)
+        dist, count = _dijkstra_counted(net, delays, v, keep)
         c1 = d in dist and dist[d] - delays.get(d, 0) == tail_weight
         if v == u:
             c2 = True  # two-edge path: the segment is the node itself
@@ -511,7 +522,10 @@ def balance_delays_kpp3(net: Network, per_node_bound=None) -> dict:
     variable), but that is exactly what makes some shortcuts fixable.
     Raises DelaySearchError when the bounded search is exhausted.
     """
-    backbone = _backbone(net)
+    return _balance_delays(net, _backbone(net), per_node_bound)
+
+
+def _balance_delays(net, backbone, per_node_bound=None):
     if len(backbone) != 3:
         raise SchedulingError("need a three-path network")
     K = 3
@@ -559,31 +573,22 @@ def balance_delays_kpp3(net: Network, per_node_bound=None) -> dict:
         f"causal-interference conditions")
 
 
-def _restrict_to_paths(net: Network, paths):
-    """Sub-network spanned by the given backbone paths."""
-    keep = {net.source.id, net.sink.id}
-    for p in paths:
-        keep |= set(p)
-    nodes = [n for n in net.nodes if n.id in keep]
-    edges = [e for e in net.edges if e.tail in keep and e.head in keep]
-    return Network(nodes, edges, name=net.name)
-
-
 def kppI_schedule(net: Network, frames_per_segment=None) -> Schedule:
     """Schedule for parallel paths with inter-path links, K >= 3.
 
     K = 3: balance delays, then run the almost-continuous schedule.
-    K > 3: activate every 3-path sub-network in its own segment of
-    3 * frames slots; symbols parked mid-path when a segment ends
-    resume when the path is next activated, so each path still lands
-    one symbol per frame of every segment containing it.
+    K > 3: give every 3-path subset of the backbone its own segment of
+    3 * frames slots, run as the K = 3 case on those paths alone;
+    symbols parked mid-path when a segment ends resume when the path is
+    next activated, so each path still lands one symbol per frame of
+    every segment containing it.
     """
     backbone = _backbone(net)
     paths, lengths, K = backbone.paths, backbone.lengths, len(backbone)
     if K < 3:
         raise SchedulingError("need at least three parallel paths")
     if K == 3:
-        return almost_continuous_schedule(net, balance_delays_kpp3(net))
+        return _almost_continuous(backbone, _balance_delays(net, backbone))
 
     if frames_per_segment is None:
         frames_per_segment = max(lengths)
@@ -592,10 +597,8 @@ def kppI_schedule(net: Network, frames_per_segment=None) -> Schedule:
     N = len(combos) * 3 * F
     slot_sets = [[set() for _ in _path_edges(path)] for path in paths]
     for seg, combo in enumerate(combos):
-        sub_paths = [paths[i] for i in combo]
-        sub_net = _restrict_to_paths(net, sub_paths)
-        delays = balance_delays_kpp3(sub_net)
-        sub = almost_continuous_schedule(sub_net, delays)
+        trio = PathSet(tuple(paths[i] for i in combo))
+        sub = _almost_continuous(trio, _balance_delays(net, trio))
         frames = range(seg * 3 * F, (seg + 1) * 3 * F, 3)
         for i in combo:
             for sets, pair in zip(slot_sets[i], _path_edges(paths[i])):
@@ -611,10 +614,11 @@ def kppI_schedule(net: Network, frames_per_segment=None) -> Schedule:
 def kppD_schedule(net: Network) -> Schedule:
     """Backbone schedule plus a direct link used in every slot.
 
-    The backbone schedule is ``kppI_schedule`` when the paths have
-    inter-path links and the parallel-path coloring otherwise; it must
-    be back-flow free and rate 1 (for the coloring: any K >= 4, or K = 3
-    with at most one length equal to 1 mod 3 or all three). The source
+    The backbone schedule is the one ``auto_schedule`` gives the
+    network without its direct link: ``kppI_schedule`` when the paths
+    have inter-path links and the parallel-path coloring otherwise. It
+    must be back-flow free and rate 1 (for the coloring: any K >= 4, or
+    K = 3 with at most one length equal to 1 mod 3 or all three). The source
     sends a fresh symbol on the direct link every slot; each relay
     feeding the sink buffers arrivals in a queue primed so that all
     relayed symbols show a near-uniform lag, after which every symbol
@@ -623,20 +627,16 @@ def kppD_schedule(net: Network) -> Schedule:
     cls = classify(net)
     if not cls.has_direct or cls.backbone is None:
         raise SchedulingError("need parallel paths plus a direct link")
-    if cls.has_interference:
-        base = kppI_schedule(net)
-    elif cls.K >= 4:
-        base = color_kpp_general(net)
-    elif cls.K == 3:
-        base = color_kpp_three(net)
-        if validate_orthogonal(net, base).backflow_nodes:
-            raise SchedulingError(
-                "three-path coloring for these lengths cannot avoid "
-                "downstream overlap, so buffered operation is unsafe")
-    else:
+    if cls.K < 3:
         raise SchedulingError("need at least three paths for buffering")
+    base = _parallel_schedule(net, cls)
     report = validate_orthogonal(net, base)
-    if not report.ok or report.rate != 1 or report.backflow_nodes:
+    if report.backflow_nodes:
+        raise SchedulingError(
+            f"base schedule has downstream overlap at "
+            f"{', '.join(report.backflow_nodes)}, so buffered operation "
+            f"is unsafe")
+    if not report.ok or report.rate != 1:
         raise SchedulingError("base schedule must be clean and rate 1")
 
     N = base.cycle_length
@@ -655,7 +655,7 @@ def kppD_schedule(net: Network) -> Schedule:
         steady_state_delay=N * _ceil_div(max(lag_of_path), N),
         direct_link_mode="buffered",
         buffer_primes=primes,
-        params={"relay_lags": tuple(lag_of_path)})
+        params={"relay_lags": lag_of_path})
 
 
 # ---------------------------------------------------------------------------
@@ -829,6 +829,18 @@ def saf_schedule(net: Network, n_slots=5) -> Schedule:
     return _with_direct_link(relayed, net)
 
 
+def _parallel_schedule(net, cls):
+    """Schedule of the paths of a parallel-path network, ignoring any
+    direct link; ``cls`` is the network's classification."""
+    if cls.has_interference:
+        return kppI_schedule(net)
+    if cls.K == 2:
+        return color_kpp_two(net)
+    if cls.K == 3:
+        return color_kpp_three(net)
+    return color_kpp_general(net)
+
+
 def auto_schedule(net: Network) -> Schedule:
     """Canonical schedule for whatever family the network falls in.
 
@@ -852,13 +864,7 @@ def auto_schedule(net: Network) -> Schedule:
                 if is_relay_bank(net):
                     return saf_schedule(net)
                 raise
-        if cls.has_interference:
-            return kppI_schedule(net)
-        if cls.K == 2:
-            return color_kpp_two(net)
-        if cls.K == 3:
-            return color_kpp_three(net)
-        return color_kpp_general(net)
+        return _parallel_schedule(net, cls)
     if cls.tag in ("layered", "fully-connected-layered"):
         return layered_matching_schedule(net)
     if is_relay_bank(net):
@@ -871,29 +877,6 @@ def auto_schedule(net: Network) -> Schedule:
 
 # ---------------------------------------------------------------------------
 # file format
-
-def _jsonable(value):
-    """Parameter values as JSON-stable types; sequences become lists.
-    Anything exotic is dropped rather than half-serialized."""
-    if isinstance(value, (bool, int, float, str)) or value is None:
-        return value
-    if isinstance(value, (list, tuple)):
-        items = [_jsonable(v) for v in value]
-        return None if any(v is None for v in items) else items
-    if isinstance(value, dict):
-        out = {str(k): _jsonable(v) for k, v in value.items()}
-        return None if any(v is None for v in out.values()) else out
-    return None
-
-
-def _from_json(value):
-    # tuples went to disk as lists; schedule params use tuples
-    if isinstance(value, list):
-        return tuple(_from_json(v) for v in value)
-    if isinstance(value, dict):
-        return {k: _from_json(v) for k, v in value.items()}
-    return value
-
 
 def schedule_to_dict(sched: Schedule) -> dict:
     return {
@@ -910,8 +893,7 @@ def schedule_to_dict(sched: Schedule) -> dict:
         "buffer_primes": dict(sched.buffer_primes),
         "symbols_per_cycle": sched.symbols_per_cycle,
         "deliveries": {str(k): v for k, v in sched.deliveries.items()},
-        "params": {k: j for k, v in sched.params.items()
-                   if (j := _jsonable(v)) is not None},
+        "params": dict(sched.params),
     }
 
 
@@ -935,10 +917,10 @@ def schedule_from_dict(data: dict) -> Schedule:
             symbols_per_cycle=int(data.get("symbols_per_cycle", 0)),
             deliveries={int(k): int(v)
                         for k, v in data.get("deliveries", {}).items()},
-            params={k: _from_json(v)
-                    for k, v in data.get("params", {}).items()},
+            # unpacking, unlike dict(), refuses anything but a mapping
+            params={**data.get("params", {})},
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise SchedulingError(f"malformed schedule description: {exc}") from exc
 
 

@@ -105,6 +105,36 @@ def test_schedule_family_param_overrides_slot_count(nets, tmp_path):
     assert load_schedule(out).cycle_length == 8
 
 
+def test_schedule_frames_only_for_segmented_networks(nets, tmp_path, capsys):
+    # frames sets the segment length of KPP(I) with K >= 4; elsewhere it
+    # used to replace the dispatcher's schedule (dropping a KPP(I,D)
+    # direct link) or be ignored
+    files = {}
+    for name, net in [
+        ("kppI4", kpp_network((2, 3, 3, 4), cross_links=[((1, 1), (2, 1))])),
+        ("kppI3", kpp_network((2, 2, 4), cross_links=[((3, 1), (1, 1))])),
+        ("kppID3", kpp_network((4, 4, 4), direct_link=True,
+                               cross_links=[((1, 2), (2, 2))],
+                               bidirectional=False)),
+        ("kppID4", kpp_network((2, 3, 3, 4), direct_link=True,
+                               cross_links=[((1, 1), (2, 1))])),
+    ]:
+        files[name] = str(tmp_path / f"{name}.json")
+        save_network(net, files[name])
+    out = tmp_path / "sched.json"
+    assert main(["schedule", "--network", files["kppI4"], "--out", str(out),
+                 "--family-params", "frames=2"]) == 0
+    assert load_schedule(out).params == {"segments": 4,
+                                         "frames_per_segment": 2}
+    for path in (files["kppI3"], files["kppID3"], files["kppID4"],
+                 nets["kpp3"], nets["naf"]):
+        assert main(["schedule", "--network", path, "--out", str(out),
+                     "--family-params", "frames=2"]) == 2, path
+        assert "frames needs a KPP(I) network" in capsys.readouterr().err
+    assert main(["simulate", "--network", nets["kpp3"], "--out", str(out),
+                 "--family-params", "frames=2"]) == 2
+
+
 def test_schedule_requires_out(nets, capsys):
     assert main(["schedule", "--network", nets["naf"]]) == 2
     assert "--out" in capsys.readouterr().err

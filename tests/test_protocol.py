@@ -3,6 +3,7 @@ token-passing simulator, rates are checked against the exact formulas,
 and the causal/back-flow reports against their definitions."""
 
 import hashlib
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -46,6 +47,7 @@ from relaydmt import (
     two_hop_network,
     validate_orthogonal,
 )
+from relaydmt import protocol
 from relaydmt.protocol import _has_cycle
 
 
@@ -303,6 +305,54 @@ def test_delay_search_on_a_long_crossed_network_needs_no_recursion():
     assert balance_delays_kpp3(net) == {"p2r338": 1}
 
 
+def _restrict_to_paths(net, paths):
+    """Sub-network spanned by the given backbone paths, built edge by
+    edge: the oracle for a causal check routed over a segment's own
+    nodes."""
+    keep = {net.source.id, net.sink.id}
+    for p in paths:
+        keep |= set(p)
+    nodes = [n for n in net.nodes if n.id in keep]
+    edges = [e for e in net.edges if e.tail in keep and e.head in keep]
+    return Network(nodes, edges, name=net.name)
+
+
+@pytest.mark.parametrize("links", [
+    [((1, 1), (2, 1))],
+    [((3, 1), (1, 1))],
+    # a leak route from path 1 to path 2 through path 4, which the
+    # segments without path 4 must not see
+    [((1, 1), (4, 1)), ((4, 2), (2, 2))],
+])
+def test_causal_check_on_a_segment_ignores_the_other_paths(links):
+    net = kpp_network((2, 3, 3, 4), cross_links=links)
+    paths = classify(net).backbone.paths
+    for combo in itertools.combinations(range(4), 3):
+        trio = PathSet(tuple(paths[i] for i in combo))
+        sub_net = _restrict_to_paths(net, trio)
+        relays = sorted({v for p in trio for v in p[1:-1]})
+        # no delay, then each relay alone delayed by 1 or 2 slots
+        for delays in [{}] + [{v: d} for v in relays for d in (1, 2)]:
+            sched = Schedule(cycle_length=3, activations={}, backbone=trio,
+                             added_delays=delays, symbols_per_cycle=3)
+            assert (check_causal_interference(net, sched)
+                    == check_causal_interference(sub_net, sched)), (combo, delays)
+
+
+@pytest.mark.parametrize("lengths", [(2, 3, 3, 4), (2, 3, 3, 4, 3)])
+def test_interference_schedule_classifies_the_network_at_most_twice(
+        lengths, monkeypatch):
+    calls = []
+
+    def counting(net):
+        calls.append(net)
+        return classify(net)
+
+    monkeypatch.setattr(protocol, "classify", counting)
+    auto_schedule(crossed(lengths))
+    assert len(calls) <= 2
+
+
 def test_segmented_interference_schedule_for_four_paths():
     net = kpp_network((2, 2, 2, 3), cross_links=(((1, 1), (2, 1)),))
     assert classify(net).tag == "KPP(I)"
@@ -424,6 +474,12 @@ PINNED = {
     "kpp25": lambda: color_kpp_two(kpp_network((2, 5))),
     "kpp47": lambda: color_kpp_two(kpp_network((4, 7))),
     "naf": lambda: naf_schedule(naf_network()),
+    # two of its four segments need the delay {'p1r1': 1}
+    "kppI2243": lambda: kppI_schedule(
+        kpp_network((2, 2, 4, 3), cross_links=[((3, 1), (1, 1))])),
+    "kppID444": lambda: kppD_schedule(kpp_network(
+        (4, 4, 4), direct_link=True, cross_links=[((1, 2), (2, 2))],
+        bidirectional=False)),
 }
 
 PINNED_SHA256 = {
@@ -443,6 +499,8 @@ PINNED_SHA256 = {
     "kpp25": "2e34e14695e552cd92e01a842075c0d7db9215d697434966c17efc8d0abcfcce",
     "kpp47": "77275bdf49f399529a1d646e4e59805c28f8474bd31d8c320e3831cfa1865889",
     "naf": "ca5c218d3d4b03dc95203ed6814d68e32c6c539a2b04895a6c4ee2bdd4d451dd",
+    "kppI2243": "96b862d9721b8ab3f337f907e649ada544d260a7134c074d71952639875e14ef",
+    "kppID444": "70926ffe672044afbbb147e43d11ee39a2a3796d7b13933afc7f2ed4ccab7aa7",
 }
 
 
@@ -487,6 +545,8 @@ def test_auto_schedule_layered_dispatch():
 def test_dict_round_trip():
     for sched in (color_kpp_three(kpp_network((2, 3, 4))),
                   kppD_schedule(kpp_network((2, 3, 4), direct_link=True)),
+                  kppI_schedule(crossed((2, 3, 3, 4))),
+                  layered_matching_schedule(layered_network((1, 2, 3, 1))),
                   naf_schedule(naf_network())):
         clone = schedule_from_dict(schedule_to_dict(sched))
         assert clone == sched
@@ -500,8 +560,16 @@ def test_file_round_trip(tmp_path):
 
 
 def test_malformed_description_is_a_scheduling_error():
-    with pytest.raises(SchedulingError):
-        schedule_from_dict({"activations": []})
+    for data in [
+        {"activations": []},
+        {"cycle_length": "x", "activations": []},
+        {"cycle_length": 2,
+         "activations": [{"tail": "s", "head": "d", "slots": ["a"]}]},
+        {"cycle_length": 2, "activations": [], "params": []},
+        {"cycle_length": 2, "activations": [], "deliveries": []},
+    ]:
+        with pytest.raises(SchedulingError):
+            schedule_from_dict(data)
 
 
 def test_cycle_search_on_a_long_chain_needs_no_recursion():
