@@ -13,7 +13,10 @@ that ``structure_certificate`` and ``extract_blocks`` read, so that
 shape does not depend on a draw or a magnitude threshold. The compiled
 steps also give each support entry an edge bitmask, the edges whose
 gains can reach it; ``extract_blocks`` uses them to probe only the
-edges that reach both a thread entry and a leakage entry.
+edges that reach both a thread entry and a leakage entry. Values whose
+steps repeat the same arithmetic on the same operands, as the rows of
+one cycle repeat in the next, form one expression class
+(``_distinct``), and the sweeps replay each class once.
 
 Reception is slot driven: a node listens in exactly the slots where
 one of its scheduled incoming edges is active, and then hears every
@@ -255,22 +258,7 @@ class PropagationProgram:
         on compact (support, batch) arrays, so every entry is the same
         sum of the same products as a dense replay.
         """
-        batch = gains.shape[1]
-        vals = {}
-        for v, size, terms, noise, frees in self._steps:
-            acc = np.zeros((size, batch), dtype=complex)
-            for src, gidx, where in terms:
-                if src is None:
-                    acc[where] += gains[gidx]
-                else:
-                    acc[where] += gains[gidx] * vals[src]
-            if noise:
-                acc[-1] += 1.0
-            vals[v] = acc
-            for u in frees:
-                del vals[u]
-        return np.concatenate([vals[v] for v in self._row_values]
-                              + [np.zeros((0, batch), dtype=complex)])
+        return _replay(self._steps, self._row_values, gains)
 
     def run(self, gains):
         """``row_values`` scattered into dense (h, g) with shapes
@@ -288,6 +276,27 @@ class PropagationProgram:
         for pair, i in self.edge_index.items():
             vec[i] = fading.gains[pair]
         return vec
+
+
+def _replay(steps, rows, gains):
+    """Run compiled steps on a (n_edges, batch) gain array and return the
+    values named in ``rows``, concatenated in that order."""
+    batch = gains.shape[1]
+    vals = {}
+    for v, size, terms, noise, frees in steps:
+        acc = np.zeros((size, batch), dtype=complex)
+        for src, gidx, where in terms:
+            if src is None:
+                acc[where] += gains[gidx]
+            else:
+                acc[where] += gains[gidx] * vals[src]
+        if noise:
+            acc[-1] += 1.0
+        vals[v] = acc
+        for u in frees:
+            del vals[u]
+    return np.concatenate([vals[v] for v in rows]
+                          + [np.zeros((0, batch), dtype=complex)])
 
 
 def propagate(net: Network, sched: Schedule, fading: FadingRealization,
@@ -440,6 +449,53 @@ def _edge_masks(prog: PropagationProgram):
         for u in frees:
             del masks[u]
     return [m for v in prog._row_values for m in masks[v]]
+
+
+def _distinct(prog: PropagationProgram):
+    """The program's steps and rows with each repeated value kept once.
+
+    Two values are bit-identical on every draw when their step keys are
+    equal (size, noise flag, and the ordered terms as class of source,
+    edge index and layout positions) and their sources are equal by the
+    same rule: both then run the same float operations on the same
+    operands. A slow-fading window repeats most values from cycle to
+    cycle, shifted in columns but not in layout, so this one rule covers
+    periodic and growing programs alike. One walk over ``prog._steps``
+    names each value's class after its first copy.
+
+    Returns (steps, rows, first): the first copies' steps, with sources
+    renamed to their classes and frees recomputed; the distinct row
+    values in order of first appearance; and for each kept row the
+    position in ``_replay(steps, rows, gains)`` where its first copy's
+    entries start. That replay holds every kept row's ``row_values``
+    entries once.
+
+    Only the sweeps replay this way; ``run``, ``row_values`` and
+    ``extract_blocks`` keep the program's full replay. Moving the classes
+    into the compile would also speed up the ``structure`` benchmark
+    pipeline, whose rounds ``bench/run.py`` keeps in memory until the run
+    ends, so more rounds read as higher peak RSS; that move waits until
+    ``run_rounds`` drops each round's outputs once checked.
+    """
+    cls, seen, kept = {}, {}, []
+    for v, size, terms, noise, _ in prog._steps:
+        terms = [(None if src is None else cls[src], gidx, where)
+                 for src, gidx, where in terms]
+        key = (size, noise, tuple(
+            (src, gidx, (where.start, where.stop) if isinstance(where, slice)
+             else where.tobytes()) for src, gidx, where in terms))
+        cls[v] = seen.setdefault(key, v)
+        if cls[v] == v:
+            kept.append((v, size, terms, noise))
+    last = {src: v for v, _, terms, _ in kept for src, _, _ in terms if src is not None}
+    frees = {}
+    for src, v in last.items():
+        frees.setdefault(v, []).append(src)
+    rows = list(dict.fromkeys(cls[v] for v in prog._row_values))
+    size = {v: s for v, s, *_ in kept}
+    start = dict(zip(rows, np.cumsum([0] + [size[v] for v in rows]).tolist()))
+    return ([(*step, frees.get(step[0], ())) for step in kept], rows,
+            [start[cls[v]] for v in prog._row_values])
 
 
 def extract_blocks(model: TransferModel):

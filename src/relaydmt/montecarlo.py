@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import PropagationError, PropagationProgram, TransferModel
+from .channel import PropagationError, PropagationProgram, _distinct, _replay
 from .netgraph import Network
 from .protocol import Schedule
 
@@ -37,23 +37,6 @@ def _whitened_sv2(h, sigma):
                 f"fewer cycles may help") from None
         h = np.linalg.solve(chol, h)
     return np.linalg.svd(h, compute_uv=False) ** 2
-
-
-def mutual_info(h, snr, sigma=None) -> float:
-    """log2 det(I + snr * H H^H Sigma^-1) in bits.
-
-    ``h`` may be a TransferModel, in which case its own noise
-    covariance is used unless an explicit ``sigma`` overrides it.
-    Whitening goes through ``_whitened_sv2``, the sweeps' own routine,
-    so the result is the mutual information of the actual noisy channel,
-    not the identity approximation, and a covariance that cannot be
-    factored in double raises PropagationError.
-    """
-    if isinstance(h, TransferModel):
-        sigma = h.sigma if sigma is None else sigma
-        h = h.h
-    sv2 = _whitened_sv2(np.asarray(h), None if sigma is None else np.asarray(sigma))
-    return float(np.log2(1.0 + snr * sv2).sum())
 
 
 @dataclass(frozen=True)
@@ -170,16 +153,22 @@ def _thresholds(plan, sched, n_rows):
     return thr
 
 
-def _row_blocks(prog: PropagationProgram) -> list:
+def _row_blocks(prog: PropagationProgram, first) -> list:
     """Independent row blocks of the program's channel, grouped by shape.
 
     Rows join a block when they share an H or G column, so after a
     permutation H, G and sigma are block diagonal and the whitened
-    spectrum is the union of the blocks' spectra. Returns per shape the
-    (m, r) rows, (m, nh) H columns and (m, ng) G columns of its m
-    blocks, and the (m, r, nh) and (m, r, ng) positions of those entries
-    in ``prog.row_values``, where a structural zero points one past the
-    end, at the zero row ``_block_sv2`` appends.
+    spectrum is the union of the blocks' spectra. ``first`` is
+    ``_distinct(prog)``'s start of each kept row's first copy, so every
+    row's gather indices point at that copy in the distinct replay
+    ``_replay(steps, rows, gains)``; a structural zero points at -1, the
+    zero row ``_block_sv2`` appends. Blocks of one shape whose H and G
+    indices are byte-equal gather bit-identical values on every draw,
+    so they form one class.
+
+    Returns per shape the (m, r) rows, (m, nh) H columns and (m, ng) G
+    columns of its m blocks, the (k, r, nh) and (k, r, ng) gather
+    indices of its k classes, and the (m,) class of each block.
     """
     root = list(range(len(prog.row_support)))
 
@@ -192,35 +181,45 @@ def _row_blocks(prog: PropagationProgram) -> list:
     for r, cols in enumerate(prog.row_support):
         for c in cols.tolist():
             root[find(r)] = find(owner.setdefault(c, r))
-    start = np.cumsum([0] + [cols.size for cols in prog.row_support])
     members, groups, kept = {}, {}, len(prog.kept_cols)
     for r in range(len(root)):
         members.setdefault(find(r), []).append(r)
     for rows in members.values():
         cols = np.unique(np.concatenate([prog.row_support[r] for r in rows]))
-        idx = np.full((len(rows), cols.size), start[-1])
+        idx = np.full((len(rows), cols.size), -1)
         for i, r in enumerate(rows):
             idx[i, np.searchsorted(cols, prog.row_support[r])] = np.arange(
-                start[r], start[r + 1])
+                first[r], first[r] + prog.row_support[r].size)
         nh = int((cols < kept).sum())
         groups.setdefault((len(rows), nh, cols.size - nh), []).append(
             (rows, cols[:nh], cols[nh:] - kept, idx[:, :nh], idx[:, nh:]))
-    return [tuple(map(np.array, zip(*bs))) for bs in groups.values()]
+    out = []
+    for bs in groups.values():
+        classes = {}      # gather indices -> (class, its indices)
+        inverse = [classes.setdefault((h.tobytes(), g.tobytes()), (len(classes), h, g))[0]
+                   for *_, h, g in bs]
+        rows, h_cols, g_cols = (np.array(a) for a in list(zip(*bs))[:3])
+        h_idx, g_idx = (np.array(a) for a in list(zip(*classes.values()))[1:])
+        out.append((rows, h_cols, g_cols, h_idx, g_idx, np.array(inverse)))
+    return out
 
 
 def _block_sv2(vals, blocks, whiten):
     """Squared singular values of the (whitened) channel, block by block.
 
-    ``vals`` are a program's ``row_values`` and ``blocks`` its
+    ``vals`` are a program's distinct replay and ``blocks`` its
     ``_row_blocks``; each shape group's H and G come out of them with one
-    take each. Single-row blocks are closed form, |h|^2 / (1 + |g|^2);
-    larger ones build their block of sigma = I + G G^H and go through
-    ``_whitened_sv2`` (identity when not whitening). Returns (batch, n).
+    take each, for one block per class. Single-row blocks are closed
+    form, |h|^2 / (1 + |g|^2); larger ones build their block of
+    sigma = I + G G^H and go through ``_whitened_sv2`` (identity when not
+    whitening). The class results are expanded to every block through
+    the inverse index, so each column, and the order of the columns,
+    is what scoring every block would give. Returns (batch, n).
     """
     vals = np.concatenate([vals, np.zeros((1, vals.shape[1]))])
     out = [np.zeros((vals.shape[1], 0))]
-    for rows, _, _, h_idx, g_idx in blocks:
-        # (batch, m, r, nh) with the batch fastest in memory, the layout of
+    for rows, _, _, h_idx, g_idx, inverse in blocks:
+        # (batch, k, r, nh) with the batch fastest in memory, the layout of
         # a gather from dense H, which fixes the summation order below
         hb = np.moveaxis(vals[h_idx], -1, 0)
         gb = np.moveaxis(vals[g_idx], -1, 0)
@@ -232,7 +231,7 @@ def _block_sv2(vals, blocks, whiten):
             sigma = (gb @ np.conj(np.swapaxes(gb, -1, -2)) + np.eye(rows.shape[1])
                      if whiten else None)
             sv2 = _whitened_sv2(hb, sigma)
-        out.append(sv2.reshape(len(sv2), -1))
+        out.append(sv2[:, inverse].reshape(len(sv2), -1))
     return np.concatenate(out, axis=1)
 
 
@@ -243,16 +242,20 @@ def _sweep_arms(sched: Schedule, plan: SimPlan, arms) -> list:
     once per batch on the shared draw, restricted to ``columns`` (the
     rows of the draw it reads, or None for all of them), and each entry
     of ``whitenings`` scores the batch once, with the true noise
-    covariance (True) or the identity (False). Scoring reads the kept
-    rows' compact ``row_values`` block by block, through gather indices
+    covariance (True) or the identity (False). Each call splits every
+    arm's program into expression classes once (``_distinct``), so a
+    batch replays each distinct value and scores each distinct block a
+    single time, and the results are repeated for their copies. Scoring
+    reads the compact replay block by block, through gather indices
     found once per program from the kept rows' supports; no dense H or G
     is built. Returns one SweepResult per (arm, whitening), in order.
     """
     n_edges = arms[0][0].n_edges
-    tallies = []                  # per arm: blocks, thresholds, counts per scoring
+    tallies = []     # per arm: distinct replay, blocks, thresholds, counts per scoring
     for prog, _, whitenings in arms:
         thr = _thresholds(plan, sched, len(prog.kept_rows))
-        tallies.append((_row_blocks(prog), thr,
+        steps, rows, first = _distinct(prog)
+        tallies.append(((steps, rows), _row_blocks(prog, first), thr,
                         [dict.fromkeys(thr, 0) for _ in whitenings]))
 
     children = np.random.SeedSequence(plan.seed).spawn(
@@ -261,8 +264,8 @@ def _sweep_arms(sched: Schedule, plan: SimPlan, arms) -> list:
         b = min(plan.batch, plan.trials - k * plan.batch)
         rng = np.random.default_rng(child)
         gains = _draw_gains(rng, n_edges, plan.batch)[:, :b]
-        for (prog, cols, whitenings), (blocks, thr, counts) in zip(arms, tallies):
-            vals = prog.row_values(gains if cols is None else gains[cols])
+        for (_, cols, whitenings), (replay, blocks, thr, counts) in zip(arms, tallies):
+            vals = _replay(*replay, gains if cols is None else gains[cols])
             for whiten, count in zip(whitenings, counts):
                 sv2 = _block_sv2(vals, blocks, whiten)
                 for db in plan.snr_db:
@@ -271,7 +274,7 @@ def _sweep_arms(sched: Schedule, plan: SimPlan, arms) -> list:
                         count[(db, r)] += int((bits < thr[(db, r)]).sum())
 
     results = []
-    for (prog, _, _), (_, _, counts) in zip(arms, tallies):
+    for (prog, _, _), (*_, counts) in zip(arms, tallies):
         for count in counts:
             est = {(db, r): OutageEstimate(db, r, count[(db, r)], plan.trials)
                    for db in plan.snr_db for r in plan.rates}

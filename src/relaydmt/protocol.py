@@ -897,25 +897,46 @@ def schedule_to_dict(sched: Schedule) -> dict:
     }
 
 
+def _int(value):
+    """``value`` when it is an int; anything else, bool included, is a
+    TypeError rather than a truncation."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
+def _slot_key(key):
+    """A ``deliveries`` key as JSON writes it: a decimal-integer string."""
+    if not (isinstance(key, str) and key.isascii() and key.isdigit()):
+        raise ValueError(f"expected a decimal slot key, got {key!r}")
+    return int(key)
+
+
 def schedule_from_dict(data: dict) -> Schedule:
+    """Inverse of ``schedule_to_dict``. Integer fields must hold JSON
+    integers and ``path_counts`` a list of them; a description that does
+    not is a SchedulingError, never truncated into a schedule."""
     try:
+        path_counts = data.get("path_counts", [])
+        if not isinstance(path_counts, list):
+            raise TypeError(f"path_counts must be a list, got {path_counts!r}")
         return Schedule(
-            cycle_length=int(data["cycle_length"]),
+            cycle_length=_int(data["cycle_length"]),
             activations={
-                (item["tail"], item["head"]): frozenset(int(s) for s in item["slots"])
+                (item["tail"], item["head"]): frozenset(_int(s) for s in item["slots"])
                 for item in data["activations"]
             },
             backbone=PathSet(tuple(tuple(p) for p in data["backbone"]))
             if data.get("backbone") else None,
-            path_counts=tuple(data.get("path_counts", ())),
-            added_delays={str(k): int(v)
+            path_counts=tuple(_int(m) for m in path_counts),
+            added_delays={str(k): _int(v)
                           for k, v in data.get("added_delays", {}).items()},
-            steady_state_delay=int(data.get("steady_state_delay", 0)),
+            steady_state_delay=_int(data.get("steady_state_delay", 0)),
             direct_link_mode=data.get("direct_link_mode", "none"),
-            buffer_primes={str(k): int(v)
+            buffer_primes={str(k): _int(v)
                            for k, v in data.get("buffer_primes", {}).items()},
-            symbols_per_cycle=int(data.get("symbols_per_cycle", 0)),
-            deliveries={int(k): int(v)
+            symbols_per_cycle=_int(data.get("symbols_per_cycle", 0)),
+            deliveries={_slot_key(k): _int(v)
                         for k, v in data.get("deliveries", {}).items()},
             # unpacking, unlike dict(), refuses anything but a mapping
             params={**data.get("params", {})},

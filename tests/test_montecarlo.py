@@ -10,24 +10,28 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relaydmt import (
     Edge,
     FadingRealization,
     Network,
+    NetworkError,
     Node,
     OutageEstimate,
     PropagationError,
     PropagationProgram,
     Schedule,
+    SchedulingError,
     SimPlan,
+    TransferModel,
     auto_schedule,
     backflow_check,
     color_kpp_three,
     fit_slope,
     kpp_network,
     layered_network,
-    mutual_info,
     naf_network,
     naf_schedule,
     outage_sweep,
@@ -37,12 +41,29 @@ from relaydmt import (
     single_link_schedule,
     whitening_check,
 )
+from relaydmt.channel import _distinct, _replay
 from relaydmt.montecarlo import (
     _block_sv2,
     _draw_gains,
     _row_blocks,
     _thresholds,
+    _whitened_sv2,
 )
+
+
+def mutual_info(h, snr, sigma=None) -> float:
+    """log2 det(I + snr * H H^H Sigma^-1) in bits: the information oracle.
+
+    ``h`` may be a TransferModel, in which case its own noise covariance
+    is used unless an explicit ``sigma`` overrides it. Whitening goes
+    through ``_whitened_sv2``, the sweeps' own routine, so a covariance
+    that cannot be factored in double raises PropagationError.
+    """
+    if isinstance(h, TransferModel):
+        sigma = h.sigma if sigma is None else sigma
+        h = h.h
+    sv2 = _whitened_sv2(np.asarray(h), None if sigma is None else np.asarray(sigma))
+    return float(np.log2(1.0 + snr * sv2).sum())
 
 
 def det_information(h, snr, sigma=None):
@@ -272,6 +293,15 @@ SCORED_DB = (10, 15, 20, 25, 30, 35, 40)
 # the two can only be held to each other at 1e-9 on the whitened arm.
 SCORED_CYCLES = {"kpp45": 1}
 WHITENED_RTOL = {"kpp45": 1e-9}
+# (network, cycles) the sweeps' expression classes must replay bit for
+# bit: every scored family, KPP(4,5) at 2 cycles, and a crossed KPP(I)
+# K=3 from the seed-0 corpus whose rows gain older-history entries in
+# every cycle, so only part of it repeats
+REPLAYED = {
+    **{f: (SCORED[f], SCORED_CYCLES.get(f, 4)) for f in SCORED},
+    "kpp45-2cycles": (SCORED["kpp45"], 2),
+    "kppI3-growing": (lambda: kpp_network((5, 2, 3), cross_links=[((3, 2), (1, 4))]), 4),
+}
 
 
 def _bits(sv2):
@@ -291,13 +321,32 @@ def _dense_sv2(h, g, whiten):
     return s**2
 
 
+def _scored(prog, gains):
+    """The sweeps' distinct replay of ``gains`` and the blocks reading it."""
+    steps, rows, first = _distinct(prog)
+    return _replay(steps, rows, gains), _row_blocks(prog, first)
+
+
+def _first_copy_reads(prog, gains):
+    """The distinct replay read back at each kept row's first copy."""
+    steps, rows, first = _distinct(prog)
+    return _replay(steps, rows, gains)[np.concatenate(
+        [np.arange(i, i + cols.size) for i, cols in zip(first, prog.row_support)]
+        + [np.zeros(0, dtype=int)])]
+
+
+def _assert_same_bytes(a, b):
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert a.tobytes() == b.tobytes()
+
+
 @pytest.mark.parametrize("family", sorted(SCORED))
 def test_block_scoring_matches_dense_spectrum(family):
     net = SCORED[family]()
     prog = PropagationProgram(net, auto_schedule(net), SCORED_CYCLES.get(family, 4))
     gains = _draw_gains(np.random.default_rng(3), prog.n_edges, 16)
     h, g = prog.run(gains)
-    vals, blocks = prog.row_values(gains), _row_blocks(prog)
+    vals, blocks = _scored(prog, gains)
     for whiten in (True, False):
         rtol = WHITENED_RTOL.get(family, 1e-12) if whiten else 1e-12
         np.testing.assert_allclose(_bits(_block_sv2(vals, blocks, whiten)),
@@ -305,9 +354,10 @@ def test_block_scoring_matches_dense_spectrum(family):
 
 
 def _gathered_sv2(h, g, blocks, whiten):
-    """The block scorer fed from dense ``run`` output instead of row values."""
+    """The block scorer fed from dense ``run`` output instead of the
+    distinct replay, scoring every block rather than one per class."""
     out = [np.zeros((h.shape[0], 0))]
-    for rows, h_cols, g_cols, _, _ in blocks:
+    for rows, h_cols, g_cols, *_ in blocks:
         hb = h[:, rows[:, :, None], h_cols[:, None, :]]      # (batch, m, r, nh)
         gb = g[:, rows[:, :, None], g_cols[:, None, :]]
         if rows.shape[1] == 1:
@@ -323,16 +373,67 @@ def _gathered_sv2(h, g, blocks, whiten):
     return np.concatenate(out, axis=1)
 
 
-@pytest.mark.parametrize("family", sorted(SCORED))
-def test_compact_scoring_is_bit_identical_to_dense_gather(family):
-    net = SCORED[family]()
-    prog = PropagationProgram(net, auto_schedule(net), SCORED_CYCLES.get(family, 4))
-    gains = _draw_gains(np.random.default_rng(4), prog.n_edges, 16)
+def _check_distinct_scoring(prog, gains):
+    # each row read at its first copy is the full replay, byte for byte,
+    # and one block per class scores what every block scores on dense H, G
+    _assert_same_bytes(_first_copy_reads(prog, gains), prog.row_values(gains))
     h, g = prog.run(gains)
-    vals, blocks = prog.row_values(gains), _row_blocks(prog)
-    for whiten in (True, False):
-        assert np.array_equal(_block_sv2(vals, blocks, whiten),
-                              _gathered_sv2(h, g, blocks, whiten))
+    vals, blocks = _scored(prog, gains)
+    for whiten in (False, True):
+        want = _gathered_sv2(h, g, blocks, whiten)
+        _assert_same_bytes(_block_sv2(vals, blocks, whiten), want)
+
+
+@pytest.mark.parametrize("family", sorted(REPLAYED))
+def test_compact_scoring_is_bit_identical_to_dense_gather(family):
+    make, cycles = REPLAYED[family]
+    net = make()
+    prog = PropagationProgram(net, auto_schedule(net), cycles)
+    _check_distinct_scoring(prog, _draw_gains(np.random.default_rng(4), prog.n_edges, 16))
+
+
+def test_growing_program_repeats_only_part_of_its_values():
+    make, cycles = REPLAYED["kppI3-growing"]
+    net = make()
+    prog = PropagationProgram(net, auto_schedule(net), cycles)
+    steps, rows, _ = _distinct(prog)
+    assert (len(prog._steps), len(steps)) == (48, 23)
+    assert (len(prog.kept_rows), len(rows)) == (12, 6)
+    # every cycle's rows reach more columns than the last one's
+    per_cycle = np.add.reduceat([c.size for c in prog.row_support], [0, 3, 6, 9])
+    assert per_cycle.tolist() == [20, 28, 36, 44]
+
+
+LIBRARY_ERRORS = (NetworkError, SchedulingError)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.integers(2, 4).flatmap(lambda k: st.tuples(
+    st.lists(st.integers(2, 5), min_size=k, max_size=k),
+    st.sampled_from(["kpp", "kppD", "kppI"]),
+    st.integers(0, 2**16))))
+def test_distinct_scoring_is_bit_identical_on_random_parallel_networks(case):
+    lengths, kind, pick = case
+    rng = np.random.default_rng(pick)
+    cross = []
+    if kind == "kppI":
+        i, j = rng.choice(len(lengths), 2, replace=False)
+        cross = [((i + 1, int(rng.integers(1, lengths[i]))),
+                  (j + 1, int(rng.integers(1, lengths[j]))))]
+    net = kpp_network(tuple(lengths), direct_link=kind == "kppD", cross_links=cross)
+    try:
+        sched = auto_schedule(net)
+    except LIBRARY_ERRORS:
+        return
+    prog = PropagationProgram(net, sched, 2)
+    gains = _draw_gains(rng, prog.n_edges, 4)
+    try:
+        _check_distinct_scoring(prog, gains)
+    except np.linalg.LinAlgError:
+        # the oracle met a covariance lost in double, as on crossed
+        # (2,3,3,5); the sweeps' scorer must stop on it too
+        with pytest.raises(PropagationError, match="not positive definite"):
+            _block_sv2(*_scored(prog, gains), True)
 
 
 def test_kpp45_unwhitenable_covariance_is_a_library_error():
@@ -344,8 +445,8 @@ def test_kpp45_unwhitenable_covariance_is_a_library_error():
 
 
 def test_mutual_info_on_unwhitenable_model_is_a_library_error():
-    # seed 18 drives max|G| to 3.9e13 at 4 cycles; mutual_info factors
-    # sigma with the sweeps' routine and reports it the same way
+    # seed 18 drives max|G| to 3.9e13 at 4 cycles; the sweeps' routine
+    # reports the covariance it cannot factor in the library's terms
     net = kpp_network((4, 5))
     model = propagate(net, auto_schedule(net), FadingRealization.sample(net, 18),
                       cycles=4)
@@ -397,23 +498,38 @@ def test_block_scoring_keeps_every_outage_count(family):
         assert {k: e.outages for k, e in result.estimates.items()} == want
 
 
+# blocks the sweeps score per batch, one per class of byte-equal gathers
+SCORED_BLOCKS = {"kpp234": 3, "kppD2342": 3, "layered12221": 2}
+
+
+def _blocks_of(family):
+    net = SCORED[family]()
+    prog = PropagationProgram(net, auto_schedule(net), 4)
+    distinct = _distinct(prog)
+    return prog, distinct, _row_blocks(prog, distinct[2])
+
+
 @pytest.mark.parametrize("family,sizes", [
     ("kpp234", [1] * 12),
     ("kppD2342", [6, 5, 5]),
     ("layered12221", [4, 4]),
 ])
 def test_row_blocks_of_the_bench_families(family, sizes):
-    net = SCORED[family]()
-    blocks = _row_blocks(PropagationProgram(net, auto_schedule(net), 4))
+    _, _, blocks = _blocks_of(family)
     got = [r for rows, *_ in blocks for r in [rows.shape[1]] * len(rows)]
     assert sorted(got, reverse=True) == sizes
+    assert sum(len(h_idx) for _, _, _, h_idx, _, _ in blocks) == SCORED_BLOCKS[family]
 
 
 def test_row_blocks_of_kppI4():
-    net = SCORED["kppI4"]()
-    blocks = _row_blocks(PropagationProgram(net, auto_schedule(net), 4))
+    prog, (steps, rows, _), blocks = _blocks_of("kppI4")
     got = [r for rows, *_ in blocks for r in [rows.shape[1]] * len(rows)]
     assert (len(got), max(got), sum(got)) == (81, 13, 192)
+    # the four cycles repeat: each batch replays 94 of the 576 steps for
+    # 30 distinct rows of 192, and scores 9 of the 81 blocks
+    assert (len(prog._steps), len(steps)) == (576, 94)
+    assert (len(prog._row_values), len(rows)) == (192, 30)
+    assert sum(len(h_idx) for _, _, _, h_idx, _, _ in blocks) == 9
 
 
 def test_rows_sharing_only_relay_noise_form_one_block():
@@ -427,8 +543,8 @@ def test_rows_sharing_only_relay_noise_form_one_block():
                                   ("a", "d"): frozenset({1, 2}),
                                   ("s", "d"): frozenset({1, 2})})
     prog = PropagationProgram(net, sched, 2)
-    blocks = _row_blocks(prog)
-    assert [(rows.shape, h_cols.shape) for rows, h_cols, *_ in blocks] == [((2, 2), (2, 2))]
     gains = _draw_gains(np.random.default_rng(5), prog.n_edges, 16)
-    np.testing.assert_allclose(_bits(_block_sv2(prog.row_values(gains), blocks, True)),
+    vals, blocks = _scored(prog, gains)
+    assert [(rows.shape, h_cols.shape) for rows, h_cols, *_ in blocks] == [((2, 2), (2, 2))]
+    np.testing.assert_allclose(_bits(_block_sv2(vals, blocks, True)),
                                _bits(_dense_sv2(*prog.run(gains), True)), rtol=1e-12)

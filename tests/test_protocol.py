@@ -567,6 +567,26 @@ def test_malformed_description_is_a_scheduling_error():
          "activations": [{"tail": "s", "head": "d", "slots": ["a"]}]},
         {"cycle_length": 2, "activations": [], "params": []},
         {"cycle_length": 2, "activations": [], "deliveries": []},
+        # integers are never truncated: floats, bools and strings of
+        # characters are refused wherever an integer belongs
+        {"cycle_length": 2.7, "activations": []},
+        {"cycle_length": True, "activations": []},
+        {"cycle_length": 2,
+         "activations": [{"tail": "s", "head": "d", "slots": [1.9, True]}]},
+        {"cycle_length": 2,
+         "activations": [{"tail": "s", "head": "d", "slots": [True]}]},
+        {"cycle_length": 2, "activations": [], "path_counts": "ab"},
+        {"cycle_length": 2, "activations": [], "path_counts": [1.0]},
+        {"cycle_length": 2, "activations": [], "steady_state_delay": 1.5},
+        {"cycle_length": 2, "activations": [], "symbols_per_cycle": "2"},
+        {"cycle_length": 2, "activations": [], "added_delays": {"p1r1": 1.0}},
+        {"cycle_length": 2, "activations": [], "buffer_primes": {"a": False}},
+        {"cycle_length": 2, "activations": [], "deliveries": {"0": 0.5}},
+        {"cycle_length": 2, "activations": [], "deliveries": {"1.0": 0}},
+        {"cycle_length": 2, "activations": [], "deliveries": {" 1": 0}},
+        {"cycle_length": 2, "activations": [], "deliveries": {1: 0}},
+        {"cycle_length": 2.7, "path_counts": "ab",
+         "activations": [{"tail": "s", "head": "d", "slots": [1.9, True]}]},
     ]:
         with pytest.raises(SchedulingError):
             schedule_from_dict(data)
