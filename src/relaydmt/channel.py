@@ -29,6 +29,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -98,6 +100,13 @@ class TransferModel:
     def n_symbols(self):
         return self.h.shape[1]
 
+    @cached_property
+    def _structure(self):
+        """``_shape`` of the H columns in each kept row's compiled support,
+        found once per model for the certificate and ``extract_blocks``."""
+        kept = len(self.program.kept_cols)
+        return _shape([np.sort(cols[cols < kept]) for cols in self.program.row_support])
+
 
 class PropagationProgram:
     """Slot-by-slot instruction list for one (net, sched, cycles).
@@ -151,9 +160,12 @@ class PropagationProgram:
     def _compile(self, tx, rx):
         """Walk the window once, over structural supports.
 
-        Each slot pulls every talking register once (FIFO pops included),
-        then builds the value each listener hears. That value sums gain
-        times earlier values, so its support (the symbol columns
+        Who talks and who listens depends only on the cycle phase, so each
+        phase's talkers, listeners and each listener's talking
+        in-neighbours (with their edge indexes) are tabled once. Each slot
+        pulls every talking register once (FIFO pops included), then
+        builds the value each listener hears. That value sums gain times
+        earlier values, so its support (the symbol columns
         0..n_symbols-1 and noise columns n_symbols + k it reaches) is the
         union of theirs. Its layout is the first term's support, then each
         later term's new columns, then its own noise column; each term
@@ -173,17 +185,30 @@ class PropagationProgram:
         values = []               # per value: (support, terms, adds noise)
         row_values = []           # per row: its value
 
+        # per phase: whether the source talks, the relays that talk, the
+        # relays that listen with their talking in-neighbours, and the
+        # sink's talking in-neighbours (None when it does not listen); the
+        # in-neighbours come in node order, so the terms' order, and with
+        # it every layout and summation order, does not depend on set order
+        in_edges = {u: [(n.id, self.edge_index[(n.id, u)]) for n in net.nodes
+                        if n.id in ins] for u, ins in net.in_neighbors.items()}
+        phases = []
+        for s in range(N):
+            talkers = {u for u in tx if s in tx[u]}
+            feeds = {u: [(w, edge) for w, edge in in_edges[u] if w in talkers]
+                     for u in in_edges if s in rx[u]}
+            phases.append((sid in talkers, list(talkers - {sid}),
+                           [(u, f) for u, f in feeds.items() if u != did], feeds.get(did)))
+
         def signal(w):
             if w in queues:
                 q = queues[w]
                 return q.popleft() if q else None
             return regs.get(w)
 
-        def combine(u, talkers, pulled, noise):
+        def combine(feeds, pulled, noise):
             index, out = {}, []   # column -> position, in layout order
-            for w in net.in_neighbors[u]:
-                if w not in talkers:
-                    continue
+            for w, edge in feeds:
                 if w == sid:    # the symbol injected this slot
                     src, sup = None, (len(self.injections) - 1,)
                 else:
@@ -191,31 +216,33 @@ class PropagationProgram:
                     if src is None:
                         continue
                     sup = values[src][0]
-                pos = [index.setdefault(c, len(index)) for c in sup]
-                contiguous = pos == list(range(pos[0], pos[0] + len(pos)))
-                out.append((src, self.edge_index[(w, u)],
-                            slice(pos[0], pos[-1] + 1) if contiguous else np.array(pos)))
+                n = len(index)
+                if not n or index.keys().isdisjoint(sup):
+                    index.update(zip(sup, range(n, n + len(sup))))
+                    where = slice(n, n + len(sup))
+                else:
+                    pos = [index.setdefault(c, len(index)) for c in sup]
+                    contiguous = pos == list(range(pos[0], pos[0] + len(pos)))
+                    where = slice(pos[0], pos[-1] + 1) if contiguous else np.array(pos)
+                out.append((src, edge, where))
             if noise is not None:
                 index[noise] = len(index)
             values.append((tuple(index), out, noise is not None))
             return len(values) - 1
 
         for t in range(self.total_slots):
-            s = t % N
-            talkers = {u for u in tx if s in tx[u]}
-            if sid in talkers:
+            injects, pullers, listeners, sink = phases[t % N]
+            if injects:
                 self.injections.append((t, len(self.injections)))
-            pulled = {w: signal(w) for w in talkers - {sid}}
-            updates = {}
-            for n in net.nodes:
-                if s in rx[n.id] and n.id != did:
-                    updates[n.id] = combine(n.id, talkers, pulled,
-                                            self.n_symbols + self.n_noise)
-                    self.n_noise += 1
-            if s in rx[did]:
+            pulled = {w: signal(w) for w in pullers}
+            updates = []
+            for u, feeds in listeners:
+                updates.append((u, combine(feeds, pulled, self.n_symbols + self.n_noise)))
+                self.n_noise += 1
+            if sink is not None:
                 self.rows.append(t)
-                row_values.append(combine(did, talkers, pulled, None))
-            for u, v in updates.items():
+                row_values.append(combine(sink, pulled, None))
+            for u, v in updates:
                 if u in queues:
                     queues[u].append(v)
                 else:
@@ -225,11 +252,15 @@ class PropagationProgram:
         # keep only the steps a kept row depends on, and free each value
         # after its last reader
         rows = [row_values[i] for i in self.kept_rows]
-        live = set(rows)
+        live = bytearray(len(values))
+        for v in rows:
+            live[v] = 1
         for v in reversed(range(len(values))):
-            if v in live:
-                live.update(src for src, _, _ in values[v][1] if src is not None)
-        live = sorted(live)
+            if live[v]:
+                for src, _, _ in values[v][1]:
+                    if src is not None:
+                        live[src] = 1
+        live = [v for v, flag in enumerate(live) if flag]
         last = {src: v for v in live for src, _, _ in values[v][1] if src is not None}
         frees = {}
         for src, v in last.items():
@@ -238,16 +269,20 @@ class PropagationProgram:
                        for v in live]
         self._row_values = rows
 
-        reached = sorted({c for v in rows for c in values[v][0] if c < self.n_symbols})
-        self.kept_cols = reached
-        col = dict(zip(reached, range(len(reached))))
-        col.update((self.n_symbols + k, len(reached) + k) for k in range(self.n_noise))
-        # per kept row, the columns of [h | g] it reaches, in layout order
-        self.row_support = [np.array([col[c] for c in values[v][0]], dtype=np.intp)
-                            for v in rows]
-        self._width = len(reached) + self.n_noise
-        self._scatter = np.concatenate([r * self._width + cols for r, cols in enumerate(
-            self.row_support)] + [np.zeros(0, dtype=np.intp)])
+        # per kept row, the columns of [h | g] it reaches, in layout order:
+        # every kept row's support mapped through one column map
+        sizes = [len(values[v][0]) for v in rows]
+        sup = np.fromiter(chain.from_iterable(values[v][0] for v in rows),
+                          dtype=np.intp, count=sum(sizes))
+        kept = np.zeros(self.n_symbols + self.n_noise, dtype=bool)
+        kept[sup] = True                  # symbols some kept row reaches
+        kept[self.n_symbols:] = True      # and every noise column
+        self.kept_cols = np.flatnonzero(kept[:self.n_symbols]).tolist()
+        self._width = int(kept.sum())
+        sup = (np.cumsum(kept) - 1)[sup]
+        ends = list(accumulate(sizes))
+        self.row_support = [sup[a:b] for a, b in zip([0] + ends, ends)]
+        self._scatter = sup + np.repeat(np.arange(len(rows)) * self._width, sizes)
 
     def row_values(self, gains):
         """Replay the program; gains has shape (n_edges, batch).
@@ -393,13 +428,6 @@ def _shape(per_row):
     return "block-lower-triangular", maxc, ()
 
 
-def _structure(model: TransferModel):
-    """``_shape`` of the H columns in each kept row's compiled support."""
-    prog = model.program
-    kept = len(prog.kept_cols)
-    return _shape([np.sort(cols[cols < kept]) for cols in prog.row_support])
-
-
 def structure_certificate(model: TransferModel) -> StructureCertificate:
     """Classify H and check its dominant entries against the schedule.
 
@@ -412,7 +440,7 @@ def structure_certificate(model: TransferModel) -> StructureCertificate:
     expected per-row coefficient with the matching entry of H at
     relative tolerance ``_THREAD_TOL``.
     """
-    kind, main, notes = _structure(model)
+    kind, main, notes = model._structure
     if kind == "none":
         return StructureCertificate(kind, False, np.inf, notes=notes)
     err = 0.0
@@ -511,7 +539,7 @@ def extract_blocks(model: TransferModel):
     row's main column from the compiled supports, as
     ``structure_certificate`` does, and runs no thread check.
     """
-    kind, main, _ = _structure(model)
+    kind, main, _ = model._structure
     if kind == "none":
         raise PropagationError("channel has no triangular structure")
     h = model.h

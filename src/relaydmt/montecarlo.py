@@ -10,6 +10,7 @@ order actually delivered by a schedule.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +52,13 @@ class SimPlan:
     batch: int = 256
     count_floor: int = 25
     fit_points: int = 4
+
+    def __post_init__(self):
+        for name in ("trials", "batch"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+                raise ValueError(f"SimPlan.{name} must be an integer of at least 1, "
+                                 f"got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -166,41 +174,82 @@ def _row_blocks(prog: PropagationProgram, first) -> list:
     indices are byte-equal gather bit-identical values on every draw,
     so they form one class.
 
+    The work is done on flat (row, column, value index) arrays of the
+    support entries. Each row's label falls to the least row it is
+    linked to, by taking minima through the shared columns and jumping
+    labels to their labels' labels until nothing moves; blocks are then
+    ordered by their least row, with rows ascending, and each block's
+    columns come sorted out of one ``np.unique`` of block * width + column.
+
     Returns per shape the (m, r) rows, (m, nh) H columns and (m, ng) G
     columns of its m blocks, the (k, r, nh) and (k, r, ng) gather
     indices of its k classes, and the (m,) class of each block.
     """
-    root = list(range(len(prog.row_support)))
+    sizes = np.array([cols.size for cols in prog.row_support], dtype=np.intp)
+    n_rows, width, kept = len(sizes), prog._width, len(prog.kept_cols)
+    if not n_rows:
+        return []
+    # one (row, column, value index) triple per support entry
+    row = np.repeat(np.arange(n_rows), sizes)
+    col = np.concatenate(prog.row_support)
+    val = np.arange(col.size) + np.repeat(np.asarray(first) - np.cumsum(sizes) + sizes, sizes)
 
-    def find(r):
-        while root[r] != r:
-            root[r] = r = root[root[r]]
-        return r
+    label = np.arange(n_rows)
+    while True:
+        least = np.full(width, n_rows)
+        np.minimum.at(least, col, label[row])
+        linked = label.copy()
+        np.minimum.at(linked, row, least[col])
+        linked = linked[linked]
+        if (linked == label).all():
+            break
+        label = linked
+    is_least = label == np.arange(n_rows)
+    block = (np.cumsum(is_least) - 1)[label]       # blocks by least row
+    n_blocks = int(is_least.sum())
+    order = np.argsort(block, kind="stable")       # rows by block, ascending
+    n_r = np.bincount(block, minlength=n_blocks)
+    r_start = np.cumsum(n_r) - n_r
+    rank = np.empty(n_rows, dtype=np.intp)        # each row's place in its block
+    rank[order] = np.arange(n_rows) - np.repeat(r_start, n_r)
 
-    owner = {}
-    for r, cols in enumerate(prog.row_support):
-        for c in cols.tolist():
-            root[find(r)] = find(owner.setdefault(c, r))
-    members, groups, kept = {}, {}, len(prog.kept_cols)
-    for r in range(len(root)):
-        members.setdefault(find(r), []).append(r)
-    for rows in members.values():
-        cols = np.unique(np.concatenate([prog.row_support[r] for r in rows]))
-        idx = np.full((len(rows), cols.size), -1)
-        for i, r in enumerate(rows):
-            idx[i, np.searchsorted(cols, prog.row_support[r])] = np.arange(
-                first[r], first[r] + prog.row_support[r].size)
-        nh = int((cols < kept).sum())
-        groups.setdefault((len(rows), nh, cols.size - nh), []).append(
-            (rows, cols[:nh], cols[nh:] - kept, idx[:, :nh], idx[:, nh:]))
+    # each block's columns, sorted, and each entry's place among them
+    row_block = block[row]
+    key, pos = np.unique(row_block * width + col, return_inverse=True)
+    key_block, key_col = np.divmod(key, width)
+    n_c = np.bincount(key_block, minlength=n_blocks)
+    c_start = np.cumsum(n_c) - n_c
+    n_h = np.bincount(key_block[key_col < kept], minlength=n_blocks)
+    pos -= c_start[row_block]
+
+    # shape groups in order of their first block; every group's gather
+    # indices are one (m, r, nh + ng) stretch of a flat array
+    groups = {}
+    for b, shape in enumerate(zip(n_r.tolist(), n_h.tolist(), (n_c - n_h).tolist())):
+        groups.setdefault(shape, []).append(b)
+    groups = {shape: np.array(bs) for shape, bs in groups.items()}
+    by_group = np.concatenate(list(groups.values()))
+    size = (n_r * n_c)[by_group]
+    start = np.empty(n_blocks, dtype=np.intp)
+    start[by_group] = np.cumsum(size) - size
+    flat = np.full(int(size.sum()), -1)
+    flat[start[row_block] + rank[row] * n_c[row_block] + pos] = val
     out = []
-    for bs in groups.values():
-        classes = {}      # gather indices -> (class, its indices)
-        inverse = [classes.setdefault((h.tobytes(), g.tobytes()), (len(classes), h, g))[0]
-                   for *_, h, g in bs]
-        rows, h_cols, g_cols = (np.array(a) for a in list(zip(*bs))[:3])
-        h_idx, g_idx = (np.array(a) for a in list(zip(*classes.values()))[1:])
-        out.append((rows, h_cols, g_cols, h_idx, g_idx, np.array(inverse)))
+    for (r, nh, ng), bs in groups.items():
+        n = r * (nh + ng)
+        idx = flat[start[bs[0]]:start[bs[0]] + len(bs) * n]
+        # a block's H and G indices split its bytes at a fixed place
+        classes, reps, inverse = {}, [], []
+        for i, k in enumerate(idx.reshape(len(bs), n)):
+            c = classes.setdefault(k.tobytes(), len(classes))
+            if c == len(reps):
+                reps.append(i)
+            inverse.append(c)
+        rows = order[r_start[bs][:, None] + np.arange(r)]
+        cols = key_col[c_start[bs][:, None] + np.arange(nh + ng)]
+        idx = idx.reshape(len(bs), r, nh + ng)[reps]
+        out.append((rows, cols[:, :nh], cols[:, nh:] - kept, idx[:, :, :nh],
+                    idx[:, :, nh:], np.array(inverse)))
     return out
 
 

@@ -9,6 +9,10 @@ bookkeeping at machine precision.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -262,6 +266,76 @@ def test_run_matches_pinned_digest(case):
     assert blob.hexdigest() == PINNED_RUN_SHA256[case]
 
 
+# The benchmark's families; their compiled programs at 4 cycles, with
+# each listener's terms summed in node order
+BENCH_FAMILIES = {
+    "single": single_link_network,
+    "kpp234": lambda: kpp_network((2, 3, 4)),
+    "kppD2342": PINNED_RUN_FAMILIES["kppD2342"],
+    "layered12221": PINNED_RUN_FAMILIES["layered12221"],
+    "kppI4": PINNED_RUN_FAMILIES["kppI4"],
+}
+
+PINNED_PROGRAM_SHA256 = {
+    "single": "e30295d6b23bf75c107bbdc3003745ded723893646814f5737b8ac4b1785f864",
+    "kpp234": "d20d0ac3499d9eac5e248c98338a748418fc19e0863985a726353b7cde052926",
+    "kppD2342": "e0136ebcb38e8461dd3ffe65e744549d2446ce7cdf06bbe8bd73f6e98bb54d0f",
+    "layered12221": "f040e11b36c85cab818db83a29ae83c5764d687e172556d296b73e4bd1f2ca89",
+    "kppI4": "59e812e82d9bb6c04445c6283040ed886cbaf661c14c0e2b07a19787ed38b370",
+}
+
+
+def _program_digest(prog):
+    """sha256 of the compiled steps (values, sizes, terms with their
+    layout positions, noise flags, frees), the kept rows' supports and
+    ``kept_cols``."""
+    steps = [[v, size, [[src, gidx, ["slice", where.start, where.stop]
+                         if isinstance(where, slice) else where.tolist()]
+                        for src, gidx, where in terms], noise, list(frees)]
+             for v, size, terms, noise, frees in prog._steps]
+    blob = json.dumps([steps, [cols.tolist() for cols in prog.row_support],
+                       prog.kept_cols])
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("family", sorted(PINNED_PROGRAM_SHA256))
+def test_compiled_program_matches_pinned_digest(family):
+    net = BENCH_FAMILIES[family]()
+    prog = PropagationProgram(net, auto_schedule(net), 4)
+    assert _program_digest(prog) == PINNED_PROGRAM_SHA256[family]
+
+
+# Compiles each benchmark family and prints the program digest and the
+# sha256 of its row_values on one seeded batch.
+HASH_SEED_SCRIPT = """
+import hashlib
+import numpy as np
+from relaydmt import PropagationProgram, auto_schedule
+from test_channel import BENCH_FAMILIES, _program_digest
+for family in sorted(BENCH_FAMILIES):
+    net = BENCH_FAMILIES[family]()
+    prog = PropagationProgram(net, auto_schedule(net), 4)
+    z = np.random.default_rng(0).standard_normal((2, prog.n_edges, 2))
+    vals = prog.row_values((z[0] + 1j * z[1]) / np.sqrt(2.0))
+    print(family, _program_digest(prog), hashlib.sha256(vals.tobytes()).hexdigest())
+"""
+
+
+def test_compile_does_not_depend_on_the_hash_seed():
+    # node ids are strings, whose set order changes with PYTHONHASHSEED;
+    # the compiled terms, layouts and row_values bytes must not
+    path = os.pathsep.join([str(Path(channel.__file__).resolve().parents[1]),
+                            str(Path(__file__).resolve().parent)])
+    outs = []
+    for seed in ("0", "1"):
+        env = {**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed}
+        outs.append(subprocess.run([sys.executable, "-c", HASH_SEED_SCRIPT], env=env,
+                                   capture_output=True, text=True, timeout=120,
+                                   check=True).stdout)
+    assert len(outs[0].splitlines()) == len(BENCH_FAMILIES)
+    assert outs[0] == outs[1]
+
+
 @pytest.mark.parametrize("family", sorted(PINNED_RUN_FAMILIES))
 def test_model_keeps_the_program_that_built_it(family):
     net = PINNED_RUN_FAMILIES[family]()
@@ -281,13 +355,15 @@ def test_model_keeps_the_program_that_built_it(family):
 ], ids=["layered12221", "kppD2342"])
 def test_model_analysis_compiles_one_program(mknet, probed, monkeypatch):
     # propagate compiles; the certificate and the leakage probes reuse
-    # it, and extract_blocks reads the shape without certifying again
+    # it, and extract_blocks reads the model's structure without
+    # certifying or finding it again
     net = mknet()
     sched = auto_schedule(net)
-    compiled, certified, replays = [], [], []
+    compiled, certified, replays, shaped = [], [], [], []
     init = PropagationProgram.__init__
     certify = channel.structure_certificate
     replay = PropagationProgram.row_values
+    shape = channel._shape
 
     def counting_init(self, *args):
         compiled.append(args)
@@ -301,8 +377,13 @@ def test_model_analysis_compiles_one_program(mknet, probed, monkeypatch):
         replays.append(gains)
         return replay(self, gains)
 
+    def counting_shape(per_row):
+        shaped.append(per_row)
+        return shape(per_row)
+
     monkeypatch.setattr(PropagationProgram, "__init__", counting_init)
     monkeypatch.setattr(channel, "structure_certificate", counting_certify)
+    monkeypatch.setattr(channel, "_shape", counting_shape)
     model = propagate(net, sched, FadingRealization.sample(net, 4), cycles=4)
     assert channel.structure_certificate(model).kind != "none"
     monkeypatch.setattr(PropagationProgram, "row_values", counting_replay)
@@ -313,6 +394,8 @@ def test_model_analysis_compiles_one_program(mknet, probed, monkeypatch):
     assert (len(replays) > 0) is probed
     assert len(compiled) == 1
     assert len(certified) == 1
+    # the certificate and extract_blocks read one structure per model
+    assert len(shaped) == 1
 
 
 @pytest.mark.parametrize("label,mknet,mksched,cycles",
@@ -518,7 +601,7 @@ def test_edge_masks_name_the_gains_each_entry_replays(family):
 def _all_edges_probe(model):
     """(h_diag, h_rest, independent) with every edge probed: the loop
     extract_blocks ran before edge masks picked the shared edges."""
-    _, main, _ = channel._structure(model)
+    _, main, _ = model._structure
     h = model.h
     diag_mask = np.zeros(h.shape, dtype=bool)
     diag_mask[np.arange(h.shape[0]), main] = True

@@ -175,6 +175,23 @@ def small_plan(**kw):
     return SimPlan(**base)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("trials", 0), ("trials", -5), ("trials", 2.5), ("trials", True),
+    ("batch", 0), ("batch", -1), ("batch", "8"),
+])
+def test_sim_plan_rejects_trials_or_batch_below_one(field, value):
+    # unchecked, trials=0 gives estimates whose .prob divides by zero and
+    # batch=0 a ZeroDivisionError deep in the sweep
+    with pytest.raises(ValueError, match=f"SimPlan.{field} must be an integer"):
+        small_plan(**{field: value})
+
+
+def test_sim_plan_leaves_cycles_to_the_program():
+    net = naf_network()
+    with pytest.raises(PropagationError, match="at least one cycle"):
+        outage_sweep(net, naf_schedule(net), small_plan(cycles=0))
+
+
 def test_threshold_rules():
     net = naf_network()
     sched = naf_schedule(net)
@@ -405,14 +422,15 @@ def test_growing_program_repeats_only_part_of_its_values():
 
 
 LIBRARY_ERRORS = (NetworkError, SchedulingError)
-
-
-@settings(derandomize=True, max_examples=40, deadline=None)
-@given(st.integers(2, 4).flatmap(lambda k: st.tuples(
+PARALLEL_CASES = st.integers(2, 4).flatmap(lambda k: st.tuples(
     st.lists(st.integers(2, 5), min_size=k, max_size=k),
     st.sampled_from(["kpp", "kppD", "kppI"]),
-    st.integers(0, 2**16))))
-def test_distinct_scoring_is_bit_identical_on_random_parallel_networks(case):
+    st.integers(0, 2**16)))
+
+
+def _parallel_network(case):
+    """KPP, KPP(D) or KPP(I) with one cross link placed by ``pick``, and
+    the generator that placed it."""
     lengths, kind, pick = case
     rng = np.random.default_rng(pick)
     cross = []
@@ -420,7 +438,13 @@ def test_distinct_scoring_is_bit_identical_on_random_parallel_networks(case):
         i, j = rng.choice(len(lengths), 2, replace=False)
         cross = [((i + 1, int(rng.integers(1, lengths[i]))),
                   (j + 1, int(rng.integers(1, lengths[j]))))]
-    net = kpp_network(tuple(lengths), direct_link=kind == "kppD", cross_links=cross)
+    return kpp_network(tuple(lengths), direct_link=kind == "kppD", cross_links=cross), rng
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(PARALLEL_CASES)
+def test_distinct_scoring_is_bit_identical_on_random_parallel_networks(case):
+    net, rng = _parallel_network(case)
     try:
         sched = auto_schedule(net)
     except LIBRARY_ERRORS:
@@ -532,19 +556,109 @@ def test_row_blocks_of_kppI4():
     assert sum(len(h_idx) for _, _, _, h_idx, _, _ in blocks) == 9
 
 
-def test_rows_sharing_only_relay_noise_form_one_block():
-    # relay a hears only w, which never receives, so a stores pure noise
-    # and forwards it in two slots: those two sink rows share a G column
-    # and no H column, and scoring them apart would ignore the correlation
+def _noise_linked_program():
+    """Relay a hears only w, which never receives, so a stores pure noise
+    and forwards it in two slots: those two sink rows share a G column
+    and no H column."""
     net = Network([Node("s", "source"), Node("w"), Node("a"), Node("d", "sink")],
                   [Edge("s", "d"), Edge("w", "a"), Edge("a", "d")])
     sched = Schedule(cycle_length=3, symbols_per_cycle=2,
                      activations={("w", "a"): frozenset({0}),
                                   ("a", "d"): frozenset({1, 2}),
                                   ("s", "d"): frozenset({1, 2})})
-    prog = PropagationProgram(net, sched, 2)
+    return PropagationProgram(net, sched, 2)
+
+
+def test_rows_sharing_only_relay_noise_form_one_block():
+    # scoring the two rows apart would ignore their noise correlation
+    prog = _noise_linked_program()
     gains = _draw_gains(np.random.default_rng(5), prog.n_edges, 16)
     vals, blocks = _scored(prog, gains)
     assert [(rows.shape, h_cols.shape) for rows, h_cols, *_ in blocks] == [((2, 2), (2, 2))]
     np.testing.assert_allclose(_bits(_block_sv2(vals, blocks, True)),
                                _bits(_dense_sv2(*prog.run(gains), True)), rtol=1e-12)
+
+
+def _union_find_row_blocks(prog, first):
+    """``_row_blocks`` as it was first written: a Python union-find over
+    the support entries, then one ``np.unique`` per block and one
+    ``searchsorted`` per row. The oracle the array version must match
+    byte for byte."""
+    root = list(range(len(prog.row_support)))
+
+    def find(r):
+        while root[r] != r:
+            root[r] = r = root[root[r]]
+        return r
+
+    owner = {}
+    for r, cols in enumerate(prog.row_support):
+        for c in cols.tolist():
+            root[find(r)] = find(owner.setdefault(c, r))
+    members, groups, kept = {}, {}, len(prog.kept_cols)
+    for r in range(len(root)):
+        members.setdefault(find(r), []).append(r)
+    for rows in members.values():
+        cols = np.unique(np.concatenate([prog.row_support[r] for r in rows]))
+        idx = np.full((len(rows), cols.size), -1)
+        for i, r in enumerate(rows):
+            idx[i, np.searchsorted(cols, prog.row_support[r])] = np.arange(
+                first[r], first[r] + prog.row_support[r].size)
+        nh = int((cols < kept).sum())
+        groups.setdefault((len(rows), nh, cols.size - nh), []).append(
+            (rows, cols[:nh], cols[nh:] - kept, idx[:, :nh], idx[:, nh:]))
+    out = []
+    for bs in groups.values():
+        classes = {}      # gather indices -> (class, its indices)
+        inverse = [classes.setdefault((h.tobytes(), g.tobytes()), (len(classes), h, g))[0]
+                   for *_, h, g in bs]
+        rows, h_cols, g_cols = (np.array(a) for a in list(zip(*bs))[:3])
+        h_idx, g_idx = (np.array(a) for a in list(zip(*classes.values()))[1:])
+        out.append((rows, h_cols, g_cols, h_idx, g_idx, np.array(inverse)))
+    return out
+
+
+def _assert_blocks_match_union_find(prog):
+    first = _distinct(prog)[2]
+    got, want = _row_blocks(prog, first), _union_find_row_blocks(prog, first)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert len(g) == len(w) == 6
+        for a, b in zip(g, w):
+            _assert_same_bytes(a, b)
+
+
+ORACLE_BLOCK_FAMILIES = {
+    **{f: SCORED[f] for f in ("single", "kpp234", "kppD2342", "layered12221",
+                              "kppI4", "naf", "kpp45")},
+    "saf2": lambda: saf_network(2),
+}
+
+
+@pytest.mark.parametrize("cycles", [1, 4])
+@pytest.mark.parametrize("family", sorted(ORACLE_BLOCK_FAMILIES))
+def test_row_blocks_match_union_find(family, cycles):
+    net = ORACLE_BLOCK_FAMILIES[family]()
+    _assert_blocks_match_union_find(PropagationProgram(net, auto_schedule(net), cycles))
+
+
+def test_row_blocks_match_union_find_on_noise_linked_rows():
+    _assert_blocks_match_union_find(_noise_linked_program())
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.one_of(
+    PARALLEL_CASES,
+    st.tuples(st.lists(st.integers(2, 3), min_size=1, max_size=2), st.booleans())),
+    st.integers(1, 3))
+def test_row_blocks_match_union_find_on_random_networks(case, cycles):
+    if len(case) == 3:
+        net = _parallel_network(case)[0]
+    else:
+        widths, connected = case
+        net = layered_network((1, *widths, 1), fully_connected=connected)
+    try:
+        sched = auto_schedule(net)
+    except LIBRARY_ERRORS:
+        return
+    _assert_blocks_match_union_find(PropagationProgram(net, sched, cycles))
