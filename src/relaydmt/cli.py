@@ -163,8 +163,11 @@ def _plan(args, params):
              if k in ("cycles", "count_floor", "fit_points")}
     if args.rates is not None:
         knobs["rates"] = _parse_rates(args.rates)
-    return SimPlan(snr_db=_snr_grid(args), trials=args.trials,
-                   seed=args.seed, **knobs)
+    try:
+        return SimPlan(snr_db=_snr_grid(args), trials=args.trials,
+                       seed=args.seed, **knobs)
+    except ValueError as exc:
+        raise _Usage(str(exc)) from None
 
 
 def _require_out(args):

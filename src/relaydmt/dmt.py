@@ -9,8 +9,6 @@ pointwise sums and maxima) stay exact and curve equality is decidable.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -113,14 +111,6 @@ def mimo_dmt(m, n) -> DmtCurve:
     if m < 1 or n < 1:
         raise CurveError("need positive antenna counts")
     return DmtCurve([(k, (m - k) * (n - k)) for k in range(min(m, n) + 1)])
-
-
-def mincut_schedule_dmt(cut, cycle_slots) -> DmtCurve:
-    """Best case for a schedule using ``cycle_slots`` slots per symbol
-    batch across a cut of size ``cut``: d(r) = (cut - cycle_slots*r)+."""
-    if cut < 1 or cycle_slots < 1:
-        raise CurveError("need positive cut and slot count")
-    return DmtCurve([(0, Fraction(cut)), (Fraction(cut, cycle_slots), 0)])
 
 
 # ---------------------------------------------------------------------------
@@ -333,27 +323,6 @@ def family_dmt(net: Network) -> FamilyAnalysis:
 # ---------------------------------------------------------------------------
 # export
 
-def curve_rows(curve: DmtCurve, step=None):
-    """(r, d) rows: exact breakpoints, or a sampled grid when ``step``
-    is given."""
-    if step is None:
-        return [(float(r), float(d)) for r, d in curve.points]
-    step = Fraction(step)
-    if step <= 0:
-        raise CurveError("need a positive step")
-    rows = []
-    r = Fraction(0)
-    end = curve.points[-1][0]
-    while r <= end:
-        rows.append((float(r), float(curve(r))))
-        r += step
-    return rows
-
-
-def curve_to_csv(curve: DmtCurve, step=None) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(["multiplexing", "diversity"])
-    for r, d in curve_rows(curve, step):
-        w.writerow([repr(r), repr(d)])
-    return buf.getvalue()
+def curve_rows(curve: DmtCurve):
+    """(r, d) rows of the exact breakpoints, as floats."""
+    return [(float(r), float(d)) for r, d in curve.points]

@@ -40,6 +40,11 @@ def _whitened_sv2(h, sigma):
     return np.linalg.svd(h, compute_uv=False) ** 2
 
 
+def _require_int(name, value, least):
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SimPlan:
     """Sweep settings; the seed pins the whole gain stream."""
@@ -54,11 +59,13 @@ class SimPlan:
     fit_points: int = 4
 
     def __post_init__(self):
-        for name in ("trials", "batch"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-                raise ValueError(f"SimPlan.{name} must be an integer of at least 1, "
-                                 f"got {value!r}")
+        for name, least in (("trials", 1), ("batch", 1), ("count_floor", 1),
+                            ("fit_points", 2)):
+            _require_int(f"SimPlan.{name}", getattr(self, name), least)
+        for r in self.rates:
+            if not math.isfinite(r) or r < 0:
+                raise ValueError(f"SimPlan.rates must be finite and nonnegative, "
+                                 f"got {r!r}")
 
 
 @dataclass(frozen=True)
@@ -111,6 +118,8 @@ def fit_slope(estimates, count_floor=25, fit_points=4) -> SlopeFit:
     never enter. The quoted uncertainty pushes each point's Wilson
     half-width through the fit.
     """
+    _require_int("count_floor", count_floor, 1)
+    _require_int("fit_points", fit_points, 2)
     usable = [e for e in sorted(estimates, key=lambda e: e.snr_db)
               if e.outages >= count_floor]
     usable = usable[-fit_points:]

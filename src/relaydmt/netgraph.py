@@ -93,7 +93,8 @@ class Network:
 
     ``edges`` may contain repeated (tail, head) pairs; parallel edges
     arise from antenna expansion and are counted individually by the
-    flow routines.
+    flow routines. A network is immutable after construction, so it
+    keeps its classification once :func:`classify` has found it.
     """
 
     def __init__(self, nodes, edges, name: str = ""):
@@ -117,6 +118,7 @@ class Network:
             self.out_neighbors[e.tail].add(e.head)
             self.in_neighbors[e.head].add(e.tail)
         self.edge_set = {e.pair for e in self.edges}
+        self._classification = None
         if not self._reaches_sink():
             raise UnreachableSinkError("sink not reachable from source")
 
@@ -318,8 +320,15 @@ def classify(net: Network) -> Classification:
     network that is also layered, then the plain parallel-path tags
     split by the presence of a direct source-sink link and of links
     between relays on different paths, then the layered tags, then
-    ``other``.
+    ``other``. The classification is found once per network and kept;
+    a network whose search runs out of budget raises on every call.
     """
+    if net._classification is None:
+        net._classification = _classify(net)
+    return net._classification
+
+
+def _classify(net: Network) -> Classification:
     layers = _layering(net)
     found = _backbone_search(net)
     if found is not None:
@@ -492,14 +501,6 @@ def forward_paths(net: Network) -> PathSet:
     for layer in cls.layers[1:]:
         paths = [p + (v,) for p in paths for v in layer if net.has_edge(p[-1], v)]
     return PathSet(tuple(paths))
-
-
-def path_delay(net: Network, path) -> int:
-    """Edge count of a path given as a node sequence."""
-    for a, b in zip(path, path[1:]):
-        if not net.has_edge(a, b):
-            raise NetworkError(f"missing edge {(a, b)}")
-    return len(path) - 1
 
 
 # ---------------------------------------------------------------------------

@@ -629,7 +629,7 @@ def kppD_schedule(net: Network) -> Schedule:
         raise SchedulingError("need parallel paths plus a direct link")
     if cls.K < 3:
         raise SchedulingError("need at least three paths for buffering")
-    base = _parallel_schedule(net, cls)
+    base = _parallel_schedule(net)
     report = validate_orthogonal(net, base)
     if report.backflow_nodes:
         raise SchedulingError(
@@ -829,9 +829,10 @@ def saf_schedule(net: Network, n_slots=5) -> Schedule:
     return _with_direct_link(relayed, net)
 
 
-def _parallel_schedule(net, cls):
+def _parallel_schedule(net):
     """Schedule of the paths of a parallel-path network, ignoring any
-    direct link; ``cls`` is the network's classification."""
+    direct link."""
+    cls = classify(net)
     if cls.has_interference:
         return kppI_schedule(net)
     if cls.K == 2:
@@ -864,7 +865,7 @@ def auto_schedule(net: Network) -> Schedule:
                 if is_relay_bank(net):
                     return saf_schedule(net)
                 raise
-        return _parallel_schedule(net, cls)
+        return _parallel_schedule(net)
     if cls.tag in ("layered", "fully-connected-layered"):
         return layered_matching_schedule(net)
     if is_relay_bank(net):

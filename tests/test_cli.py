@@ -87,7 +87,7 @@ def test_schedule_reports_constraints(nets, tmp_path, capsys):
     assert "back-flow free" in text
 
 
-def test_schedule_on_a_long_crossed_network(tmp_path, capsys):
+def test_schedule_on_a_long_crossed_network(tmp_path, capsys, classify_runs):
     # 1017 relays: the delay search runs deeper than the recursion limit
     path = tmp_path / "long.json"
     save_network(kpp_network((340, 339, 341), cross_links=[((2, 2), (3, 2))]),
@@ -96,6 +96,8 @@ def test_schedule_on_a_long_crossed_network(tmp_path, capsys):
     assert main(["schedule", "--network", str(path), "--out", str(out)]) == 0
     assert "family KPP(I): cycle 3 slots, rate 1" in capsys.readouterr().out
     assert load_schedule(out).added_delays == {"p2r338": 1}
+    # the command, the dispatch and the validation share one classification
+    assert len(classify_runs) == 1
 
 
 def test_schedule_family_param_overrides_slot_count(nets, tmp_path):
@@ -230,6 +232,9 @@ def test_simulate_usage_errors(nets, capsys):
           "--family-params", "bogus=3"], "unknown"),
         (["simulate", "--network", nets["naf"], "--out", "x.csv",
           "--family-params", "cycles=abc"], "integer"),
+        # one point cannot give a slope; SimPlan's check is a usage error
+        (["simulate", "--network", nets["naf"], "--out", "x.csv",
+          "--family-params", "fit_points=1"], "fit_points"),
         (["simulate", "--network", nets["naf"]], "--out"),
         # non-finite numbers: an infinite --snr-max used to grow the SNR
         # grid forever, NaN gave an empty grid or NaN rates and exit 0

@@ -20,14 +20,12 @@ from relaydmt import (
     UnsupportedFamilyError,
     classify,
     curve_rows,
-    curve_to_csv,
     family_dmt,
     kpp_network,
     layered_network,
     linear_curve,
     mimo_dmt,
     min_cut,
-    mincut_schedule_dmt,
     naf_network,
     parallel,
     parallel_repeated,
@@ -174,7 +172,6 @@ def test_reference_curve_shapes():
     assert mimo_dmt(2, 2).points == ((0, 4), (1, 1), (2, 0))
     assert mimo_dmt(1, 4).points == linear_curve(4).points
     assert mimo_dmt(3, 2).points == mimo_dmt(2, 3).points
-    assert mincut_schedule_dmt(3, 2).points == ((0, 3), (Fraction(3, 2), 0))
     assert product_parallel(6, 3).points == ((0, 2), (6, 0))
     with pytest.raises(CurveError):
         linear_curve(0)
@@ -345,13 +342,4 @@ def test_family_layered_without_disjoint_partner():
 # export
 
 def test_curve_rows_and_csv():
-    curve = linear_curve(2)
-    assert curve_rows(curve) == [(0.0, 2.0), (1.0, 0.0)]
-    assert curve_rows(curve, step=Fraction(1, 2)) == [
-        (0.0, 2.0), (0.5, 1.0), (1.0, 0.0)]
-    text = curve_to_csv(curve, step=Fraction(1, 2))
-    lines = text.strip().splitlines()
-    assert lines[0] == "multiplexing,diversity"
-    assert len(lines) == 4
-    with pytest.raises(CurveError):
-        curve_rows(curve, step=0)
+    assert curve_rows(linear_curve(2)) == [(0.0, 2.0), (1.0, 0.0)]

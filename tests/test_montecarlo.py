@@ -186,6 +186,27 @@ def test_sim_plan_rejects_trials_or_batch_below_one(field, value):
         small_plan(**{field: value})
 
 
+@pytest.mark.parametrize("field,value", [
+    ("count_floor", 0), ("fit_points", 0), ("fit_points", 1),
+    ("rates", (-0.5,)), ("rates", (0.5, math.nan)), ("rates", (math.inf,)),
+])
+def test_sim_plan_rejects_unusable_fit_settings_and_rates(field, value):
+    # unchecked, negative and NaN rates were scored against the r = 0
+    # budget, and fit_points=0 fitted every usable point
+    with pytest.raises(ValueError, match=f"SimPlan.{field} must be"):
+        small_plan(**{field: value})
+
+
+def test_fit_slope_rejects_a_zero_floor_or_fewer_than_two_points():
+    est = mk_estimates([500, 100, 3, 0], 1000)
+    # count_floor=0 used to reach math.log10(0) on the empty point
+    with pytest.raises(ValueError, match="count_floor"):
+        fit_slope(est, count_floor=0)
+    for points in (0, 1):
+        with pytest.raises(ValueError, match="fit_points"):
+            fit_slope(est, fit_points=points)
+
+
 def test_sim_plan_leaves_cycles_to_the_program():
     net = naf_network()
     with pytest.raises(PropagationError, match="at least one cycle"):

@@ -24,7 +24,6 @@ from relaydmt import (
     naf_network,
     network_from_dict,
     network_to_dict,
-    path_delay,
     saf_network,
     save_network,
     single_link_network,
@@ -267,6 +266,20 @@ def test_backbone_marks_exactly_the_parallel_families():
     assert tags >= parallel | {"layered", "fully-connected-layered"}
 
 
+def test_each_network_keeps_its_own_classification(classify_runs):
+    net = kpp_network((2, 3, 4), direct_link=True)
+    assert classify(net) is classify(net)
+    assert classify(net).tag == "KPP(D)"
+    # the twin backflow_check builds: reverse backbone edges removed
+    reverse = [(b, a) for p in classify(net).backbone for a, b in zip(p, p[1:])]
+    twin = net.without_edges(reverse)
+    assert classify(twin).tag == "KPP(D)"
+    assert not any(twin.has_edge(*pair) for pair in reverse)
+    bare = net.without_edges([("s", "d"), ("d", "s")])
+    assert classify(bare).tag == "KPP"
+    assert classify_runs == [net, twin, bare]
+
+
 def test_classification_label_is_readable():
     cls = classify(kpp_network((2, 3, 4), direct_link=True))
     assert "KPP(D)" in cls.label
@@ -290,14 +303,6 @@ def test_kpp_builder_shapes():
 def test_cross_link_coordinates_are_one_based():
     net = kpp_network((2, 2, 4), cross_links=(((3, 1), (1, 1)),))
     assert net.has_edge("p3r1", "p1r1") and net.has_edge("p1r1", "p3r1")
-
-
-def test_path_delay_counts_edges():
-    net = kpp_network((2, 3))
-    assert path_delay(net, ("s", "p1r1", "d")) == 2
-    assert path_delay(net, ("s", "p2r1", "p2r2", "d")) == 3
-    with pytest.raises(NetworkError):
-        path_delay(net, ("s", "p2r2", "d"))
 
 
 def test_network_validation_errors():

@@ -2,6 +2,7 @@
 token-passing simulator, rates are checked against the exact formulas,
 and the causal/back-flow reports against their definitions."""
 
+import contextlib
 import hashlib
 import itertools
 import json
@@ -15,6 +16,7 @@ from relaydmt import (
     Edge,
     Network,
     Node,
+    NotLayeredError,
     PathSet,
     Schedule,
     SchedulingError,
@@ -27,7 +29,9 @@ from relaydmt import (
     color_kpp_three,
     color_kpp_two,
     color_regular,
+    family_dmt,
     fd_schedule,
+    forward_paths,
     kppD_schedule,
     kppI_schedule,
     kpp_network,
@@ -47,7 +51,6 @@ from relaydmt import (
     two_hop_network,
     validate_orthogonal,
 )
-from relaydmt import protocol
 from relaydmt.protocol import _has_cycle
 
 
@@ -339,18 +342,29 @@ def test_causal_check_on_a_segment_ignores_the_other_paths(links):
                     == check_causal_interference(sub_net, sched)), (combo, delays)
 
 
-@pytest.mark.parametrize("lengths", [(2, 3, 3, 4), (2, 3, 3, 4, 3)])
-def test_interference_schedule_classifies_the_network_at_most_twice(
-        lengths, monkeypatch):
-    calls = []
+# classify -> auto_schedule -> validate_orthogonal -> family_dmt ->
+# forward_paths, in the structural pipeline's order
+CLASSIFIED_ONCE = {
+    "kppD2342": lambda: kpp_network((2, 3, 4, 2), direct_link=True),
+    "kppI4": lambda: crossed((2, 3, 3, 4)),
+    "kppI5": lambda: crossed((2, 3, 3, 4, 3)),
+    "fc1231": lambda: layered_network((1, 2, 3, 1)),
+    "layered1231": lambda: layered_network((1, 2, 3, 1), fully_connected=False),
+}
 
-    def counting(net):
-        calls.append(net)
-        return classify(net)
 
-    monkeypatch.setattr(protocol, "classify", counting)
-    auto_schedule(crossed(lengths))
-    assert len(calls) <= 2
+@pytest.mark.parametrize("name", CLASSIFIED_ONCE)
+def test_each_network_is_classified_once(name, classify_runs):
+    net = CLASSIFIED_ONCE[name]()
+    if classify(net).tag == "layered":
+        with pytest.raises(SchedulingError, match="fully connected"):
+            auto_schedule(net)
+    else:
+        validate_orthogonal(net, auto_schedule(net))
+    family_dmt(net)
+    with contextlib.suppress(NotLayeredError):
+        forward_paths(net)
+    assert classify_runs == [net]
 
 
 def test_segmented_interference_schedule_for_four_paths():
