@@ -8,15 +8,15 @@ the same register arithmetic the real network would apply, so H, G and
 sigma come out of one pass with no formula specific to any topology.
 Compilation walks that arithmetic once over structural supports (the
 columns each register value can reach), and every run then works on
-those supports alone. The kept rows' supports are also the shape of H
-that ``structure_certificate`` and ``extract_blocks`` read, so that
-shape does not depend on a draw or a magnitude threshold. The compiled
-steps also give each support entry an edge bitmask, the edges whose
-gains can reach it; ``extract_blocks`` uses them to probe only the
-edges that reach both a thread entry and a leakage entry. Values whose
-steps repeat the same arithmetic on the same operands, as the rows of
-one cycle repeat in the next, form one expression class
-(``_distinct``), and the sweeps replay each class once.
+those supports alone. A compiled ``PropagationProgram`` also owns four
+analyses of its structure, each built on first use and kept: the shape
+of H from the kept rows' supports, which no draw or threshold moves
+(read by ``structure_certificate`` and ``extract_blocks``); an edge
+bitmask per support entry, so ``extract_blocks`` probes only edges that
+reach both a thread and a leakage entry; the expression classes, values
+that repeat the same arithmetic on the same operands as one cycle's rows
+repeat in the next (``distinct_values`` replays each once); and
+``row_blocks``, the independent row blocks the sweeps score from them.
 
 Reception is slot driven: a node listens in exactly the slots where
 one of its scheduled incoming edges is active, and then hears every
@@ -100,13 +100,6 @@ class TransferModel:
     def n_symbols(self):
         return self.h.shape[1]
 
-    @cached_property
-    def _structure(self):
-        """``_shape`` of the H columns in each kept row's compiled support,
-        found once per model for the certificate and ``extract_blocks``."""
-        kept = len(self.program.kept_cols)
-        return _shape([np.sort(cols[cols < kept]) for cols in self.program.row_support])
-
 
 class PropagationProgram:
     """Slot-by-slot instruction list for one (net, sched, cycles).
@@ -114,14 +107,12 @@ class PropagationProgram:
     Compiling once and running over many gain draws is what makes the
     outage sweeps affordable. The constructor validates the schedule
     against the network and compiles in one walk over the window. Both
-    outputs come from one replay of a
-    (n_edges, batch) gain array: ``row_values`` gives the kept rows'
-    compact values, which the sweeps score, and ``run`` scatters them
-    into stacked dense H and G. Compilation fixes each value's support,
-    so ``kept_cols`` (symbols some kept row reaches) and ``row_support``
-    (the [h | g] columns of each kept row, in its value's layout, from
-    which independent row blocks follow) are structural, not measured on
-    a draw.
+    outputs come from one replay of a (n_edges, batch) gain array:
+    ``row_values`` gives the kept rows' compact values, and ``run``
+    scatters them into stacked dense H and G. Compilation fixes each
+    value's support, so ``kept_cols`` (symbols some kept row reaches) and
+    ``row_support`` (the [h | g] columns of each kept row, in its value's
+    layout) are structural, not measured on a draw.
     """
 
     def __init__(self, net: Network, sched: Schedule, cycles: int):
@@ -312,6 +303,178 @@ class PropagationProgram:
             vec[i] = fading.gains[pair]
         return vec
 
+    @cached_property
+    def _structure(self):
+        """``_shape`` of the H columns in each kept row's compiled support."""
+        kept = len(self.kept_cols)
+        return _shape([np.sort(cols[cols < kept]) for cols in self.row_support])
+
+    @cached_property
+    def _masks(self):
+        """One edge bitmask per entry of ``row_values``, in its order.
+
+        Bit i is set when some term summed into the entry multiplies by edge
+        i's gain: a symbol term sets its edge's bit, a register term ORs its
+        source entry's mask with its edge's bit, and an own-noise entry gets
+        mask 0. Read off the compiled steps, so an entry whose mask lacks
+        bit i replays bit-identically whatever edge i's gain is.
+        """
+        masks = {}
+        for v, size, terms, _, frees in self._steps:
+            acc = [0] * size
+            for src, gidx, where in terms:
+                bit = 1 << gidx
+                pos = range(size)[where] if isinstance(where, slice) else where
+                for p, m in zip(pos, (0,) if src is None else masks[src]):
+                    acc[p] |= m | bit
+            masks[v] = acc
+            for u in frees:
+                del masks[u]
+        return [m for v in self._row_values for m in masks[v]]
+
+    @cached_property
+    def _classes(self):
+        """The program's steps and rows with each repeated value kept once.
+
+        Two values are bit-identical on every draw when their step keys are
+        equal (size, noise flag, and the ordered terms as class of source,
+        edge index and layout positions) and their sources are equal by the
+        same rule: both then run the same float operations on the same
+        operands. A slow-fading window repeats most values from cycle to
+        cycle, shifted in columns but not in layout, so this one rule covers
+        periodic and growing programs alike. One walk over the steps names
+        each value's class after its first copy.
+
+        Returns (steps, rows, first): the first copies' steps, with sources
+        renamed to their classes and frees recomputed; the distinct row
+        values in order of first appearance; and for each kept row the
+        position in ``distinct_values`` where its first copy's entries
+        start.
+
+        Only the sweeps replay classes; ``run``, ``row_values`` and
+        ``extract_blocks`` replay every step. Classes found in the compile
+        ran a prototype's ``structure`` benchmark 225 -> 284 networks/s
+        (medians of three alternating 36-s runs), but ``bench/run.py`` keeps
+        every round's outputs, so its peak RSS read 68.6 -> 74.1 MB (+8.1%;
+        one pair +12.5%, past the 10% bound). That move waits until
+        ``run_rounds`` drops each round's outputs once checked.
+        """
+        cls, seen, kept = {}, {}, []
+        for v, size, terms, noise, _ in self._steps:
+            terms = [(None if src is None else cls[src], gidx, where)
+                     for src, gidx, where in terms]
+            key = (size, noise, tuple(
+                (src, gidx, (where.start, where.stop) if isinstance(where, slice)
+                 else where.tobytes()) for src, gidx, where in terms))
+            cls[v] = seen.setdefault(key, v)
+            if cls[v] == v:
+                kept.append((v, size, terms, noise))
+        last = {src: v for v, _, terms, _ in kept for src, _, _ in terms if src is not None}
+        frees = {}
+        for src, v in last.items():
+            frees.setdefault(v, []).append(src)
+        rows = list(dict.fromkeys(cls[v] for v in self._row_values))
+        size = {v: s for v, s, *_ in kept}
+        start = dict(zip(rows, np.cumsum([0] + [size[v] for v in rows]).tolist()))
+        return ([(*step, frees.get(step[0], ())) for step in kept], rows,
+                [start[cls[v]] for v in self._row_values])
+
+    def distinct_values(self, gains):
+        """Each expression class replayed once on a (n_edges, batch) gain
+        array; ``row_blocks`` gathers every kept row's values from it."""
+        return _replay(*self._classes[:2], gains)
+
+    @cached_property
+    def row_blocks(self):
+        """Independent row blocks of the channel, grouped by shape.
+
+        Rows join a block when they share an H or G column, so after a
+        permutation H, G and sigma are block diagonal and the whitened
+        spectrum is the union of the blocks' spectra. Every row's gather
+        indices point at its first copy in ``distinct_values``; a
+        structural zero points at -1, the zero row the block scorer appends.
+        Blocks of one shape whose H and G indices are byte-equal gather
+        bit-identical values on every draw, so they form one class.
+
+        The work is done on flat (row, column, value index) arrays of the
+        support entries. Each row's label falls to the least row it is
+        linked to, by taking minima through the shared columns and jumping
+        labels to their labels' labels until nothing moves; blocks are then
+        ordered by their least row, with rows ascending, and each block's
+        columns come sorted out of one ``np.unique`` of block * width + column.
+
+        Returns per shape the (m, r) rows, (m, nh) H columns and (m, ng) G
+        columns of its m blocks, the (k, r, nh) and (k, r, ng) gather
+        indices of its k classes, and the (m,) class of each block.
+        """
+        sizes = np.array([cols.size for cols in self.row_support], dtype=np.intp)
+        n_rows, width, kept = len(sizes), self._width, len(self.kept_cols)
+        if not n_rows:
+            return []
+        # one (row, column, value index) triple per support entry
+        row = np.repeat(np.arange(n_rows), sizes)
+        col = np.concatenate(self.row_support)
+        val = np.arange(col.size) + np.repeat(
+            np.asarray(self._classes[2]) - np.cumsum(sizes) + sizes, sizes)
+
+        label = np.arange(n_rows)
+        while True:
+            least = np.full(width, n_rows)
+            np.minimum.at(least, col, label[row])
+            linked = label.copy()
+            np.minimum.at(linked, row, least[col])
+            linked = linked[linked]
+            if (linked == label).all():
+                break
+            label = linked
+        is_least = label == np.arange(n_rows)
+        block = (np.cumsum(is_least) - 1)[label]       # blocks by least row
+        n_blocks = int(is_least.sum())
+        order = np.argsort(block, kind="stable")       # rows by block, ascending
+        n_r = np.bincount(block, minlength=n_blocks)
+        r_start = np.cumsum(n_r) - n_r
+        rank = np.empty(n_rows, dtype=np.intp)        # each row's place in its block
+        rank[order] = np.arange(n_rows) - np.repeat(r_start, n_r)
+
+        # each block's columns, sorted, and each entry's place among them
+        row_block = block[row]
+        key, pos = np.unique(row_block * width + col, return_inverse=True)
+        key_block, key_col = np.divmod(key, width)
+        n_c = np.bincount(key_block, minlength=n_blocks)
+        c_start = np.cumsum(n_c) - n_c
+        n_h = np.bincount(key_block[key_col < kept], minlength=n_blocks)
+        pos -= c_start[row_block]
+
+        # shape groups in order of their first block; every group's gather
+        # indices are one (m, r, nh + ng) stretch of a flat array
+        groups = {}
+        for b, shape in enumerate(zip(n_r.tolist(), n_h.tolist(), (n_c - n_h).tolist())):
+            groups.setdefault(shape, []).append(b)
+        groups = {shape: np.array(bs) for shape, bs in groups.items()}
+        by_group = np.concatenate(list(groups.values()))
+        size = (n_r * n_c)[by_group]
+        start = np.empty(n_blocks, dtype=np.intp)
+        start[by_group] = np.cumsum(size) - size
+        flat = np.full(int(size.sum()), -1)
+        flat[start[row_block] + rank[row] * n_c[row_block] + pos] = val
+        out = []
+        for (r, nh, ng), bs in groups.items():
+            n = r * (nh + ng)
+            idx = flat[start[bs[0]]:start[bs[0]] + len(bs) * n]
+            # a block's H and G indices split its bytes at a fixed place
+            classes, reps, inverse = {}, [], []
+            for i, k in enumerate(idx.reshape(len(bs), n)):
+                c = classes.setdefault(k.tobytes(), len(classes))
+                if c == len(reps):
+                    reps.append(i)
+                inverse.append(c)
+            rows = order[r_start[bs][:, None] + np.arange(r)]
+            cols = key_col[c_start[bs][:, None] + np.arange(nh + ng)]
+            idx = idx.reshape(len(bs), r, nh + ng)[reps]
+            out.append((rows, cols[:, :nh], cols[:, nh:] - kept, idx[:, :, :nh],
+                        idx[:, :, nh:], np.array(inverse)))
+        return out
+
 
 def _replay(steps, rows, gains):
     """Run compiled steps on a (n_edges, batch) gain array and return the
@@ -440,7 +603,7 @@ def structure_certificate(model: TransferModel) -> StructureCertificate:
     expected per-row coefficient with the matching entry of H at
     relative tolerance ``_THREAD_TOL``.
     """
-    kind, main, notes = model._structure
+    kind, main, notes = model.program._structure
     if kind == "none":
         return StructureCertificate(kind, False, np.inf, notes=notes)
     err = 0.0
@@ -456,82 +619,12 @@ def structure_certificate(model: TransferModel) -> StructureCertificate:
     return StructureCertificate(kind, ok, err, main_columns=tuple(main))
 
 
-def _edge_masks(prog: PropagationProgram):
-    """One edge bitmask per entry of ``row_values``, in its order.
-
-    Bit i is set when some term summed into the entry multiplies by edge
-    i's gain: a symbol term sets its edge's bit, a register term ORs its
-    source entry's mask with its edge's bit, and an own-noise entry gets
-    mask 0. Read off the compiled steps, so an entry whose mask lacks
-    bit i replays bit-identically whatever edge i's gain is.
-    """
-    masks = {}
-    for v, size, terms, _, frees in prog._steps:
-        acc = [0] * size
-        for src, gidx, where in terms:
-            bit = 1 << gidx
-            pos = range(size)[where] if isinstance(where, slice) else where
-            for p, m in zip(pos, (0,) if src is None else masks[src]):
-                acc[p] |= m | bit
-        masks[v] = acc
-        for u in frees:
-            del masks[u]
-    return [m for v in prog._row_values for m in masks[v]]
-
-
-def _distinct(prog: PropagationProgram):
-    """The program's steps and rows with each repeated value kept once.
-
-    Two values are bit-identical on every draw when their step keys are
-    equal (size, noise flag, and the ordered terms as class of source,
-    edge index and layout positions) and their sources are equal by the
-    same rule: both then run the same float operations on the same
-    operands. A slow-fading window repeats most values from cycle to
-    cycle, shifted in columns but not in layout, so this one rule covers
-    periodic and growing programs alike. One walk over ``prog._steps``
-    names each value's class after its first copy.
-
-    Returns (steps, rows, first): the first copies' steps, with sources
-    renamed to their classes and frees recomputed; the distinct row
-    values in order of first appearance; and for each kept row the
-    position in ``_replay(steps, rows, gains)`` where its first copy's
-    entries start. That replay holds every kept row's ``row_values``
-    entries once.
-
-    Only the sweeps replay this way; ``run``, ``row_values`` and
-    ``extract_blocks`` keep the program's full replay. Moving the classes
-    into the compile would also speed up the ``structure`` benchmark
-    pipeline, whose rounds ``bench/run.py`` keeps in memory until the run
-    ends, so more rounds read as higher peak RSS; that move waits until
-    ``run_rounds`` drops each round's outputs once checked.
-    """
-    cls, seen, kept = {}, {}, []
-    for v, size, terms, noise, _ in prog._steps:
-        terms = [(None if src is None else cls[src], gidx, where)
-                 for src, gidx, where in terms]
-        key = (size, noise, tuple(
-            (src, gidx, (where.start, where.stop) if isinstance(where, slice)
-             else where.tobytes()) for src, gidx, where in terms))
-        cls[v] = seen.setdefault(key, v)
-        if cls[v] == v:
-            kept.append((v, size, terms, noise))
-    last = {src: v for v, _, terms, _ in kept for src, _, _ in terms if src is not None}
-    frees = {}
-    for src, v in last.items():
-        frees.setdefault(v, []).append(src)
-    rows = list(dict.fromkeys(cls[v] for v in prog._row_values))
-    size = {v: s for v, s, *_ in kept}
-    start = dict(zip(rows, np.cumsum([0] + [size[v] for v in rows]).tolist()))
-    return ([(*step, frees.get(step[0], ())) for step in kept], rows,
-            [start[cls[v]] for v in prog._row_values])
-
-
 def extract_blocks(model: TransferModel):
     """Split H into its dominant diagonal and the leakage remainder.
 
     Returns (h_diag, h_rest, independent): h_diag keeps only each row's
     thread entry, h_rest the others. ``independent`` is True when no
-    single edge gain feeds both parts. ``_edge_masks`` names the edges
+    single edge gain feeds both parts. The program's edge masks name the edges
     that can reach the thread entries and those that can reach the other
     H entries; only an edge in both can feed both, so only those are
     probed, by replaying the model's own program with that edge gain
@@ -539,7 +632,8 @@ def extract_blocks(model: TransferModel):
     row's main column from the compiled supports, as
     ``structure_certificate`` does, and runs no thread check.
     """
-    kind, main, _ = model._structure
+    prog = model.program
+    kind, main, _ = prog._structure
     if kind == "none":
         raise PropagationError("channel has no triangular structure")
     h = model.h
@@ -551,7 +645,6 @@ def extract_blocks(model: TransferModel):
     independent = True
     if np.abs(h_rest).max() > 0:
         scale = np.abs(h).max()
-        prog = model.program
         # the kept rows' compact H entries, in row_values order: an entry
         # outside the supports is zero on every draw and never moves, and
         # only an edge in the masks of both a thread entry and another
@@ -561,7 +654,7 @@ def extract_blocks(model: TransferModel):
         in_h = cols < len(prog.kept_cols)
         rows, cols = rows[in_h], cols[in_h]
         thread = cols == np.asarray(main)[rows]
-        masks = np.array(_edge_masks(prog), dtype=object)[in_h]
+        masks = np.array(prog._masks, dtype=object)[in_h]
         shared = np.bitwise_or.reduce(masks[thread]) & np.bitwise_or.reduce(masks[~thread])
         ref = h[rows, cols]
         base = prog.gain_vector(model.fading)

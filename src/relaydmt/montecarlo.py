@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import PropagationError, PropagationProgram, _distinct, _replay
+from .channel import PropagationError, PropagationProgram
 from .netgraph import Network
 from .protocol import Schedule
 
@@ -170,103 +170,11 @@ def _thresholds(plan, sched, n_rows):
     return thr
 
 
-def _row_blocks(prog: PropagationProgram, first) -> list:
-    """Independent row blocks of the program's channel, grouped by shape.
-
-    Rows join a block when they share an H or G column, so after a
-    permutation H, G and sigma are block diagonal and the whitened
-    spectrum is the union of the blocks' spectra. ``first`` is
-    ``_distinct(prog)``'s start of each kept row's first copy, so every
-    row's gather indices point at that copy in the distinct replay
-    ``_replay(steps, rows, gains)``; a structural zero points at -1, the
-    zero row ``_block_sv2`` appends. Blocks of one shape whose H and G
-    indices are byte-equal gather bit-identical values on every draw,
-    so they form one class.
-
-    The work is done on flat (row, column, value index) arrays of the
-    support entries. Each row's label falls to the least row it is
-    linked to, by taking minima through the shared columns and jumping
-    labels to their labels' labels until nothing moves; blocks are then
-    ordered by their least row, with rows ascending, and each block's
-    columns come sorted out of one ``np.unique`` of block * width + column.
-
-    Returns per shape the (m, r) rows, (m, nh) H columns and (m, ng) G
-    columns of its m blocks, the (k, r, nh) and (k, r, ng) gather
-    indices of its k classes, and the (m,) class of each block.
-    """
-    sizes = np.array([cols.size for cols in prog.row_support], dtype=np.intp)
-    n_rows, width, kept = len(sizes), prog._width, len(prog.kept_cols)
-    if not n_rows:
-        return []
-    # one (row, column, value index) triple per support entry
-    row = np.repeat(np.arange(n_rows), sizes)
-    col = np.concatenate(prog.row_support)
-    val = np.arange(col.size) + np.repeat(np.asarray(first) - np.cumsum(sizes) + sizes, sizes)
-
-    label = np.arange(n_rows)
-    while True:
-        least = np.full(width, n_rows)
-        np.minimum.at(least, col, label[row])
-        linked = label.copy()
-        np.minimum.at(linked, row, least[col])
-        linked = linked[linked]
-        if (linked == label).all():
-            break
-        label = linked
-    is_least = label == np.arange(n_rows)
-    block = (np.cumsum(is_least) - 1)[label]       # blocks by least row
-    n_blocks = int(is_least.sum())
-    order = np.argsort(block, kind="stable")       # rows by block, ascending
-    n_r = np.bincount(block, minlength=n_blocks)
-    r_start = np.cumsum(n_r) - n_r
-    rank = np.empty(n_rows, dtype=np.intp)        # each row's place in its block
-    rank[order] = np.arange(n_rows) - np.repeat(r_start, n_r)
-
-    # each block's columns, sorted, and each entry's place among them
-    row_block = block[row]
-    key, pos = np.unique(row_block * width + col, return_inverse=True)
-    key_block, key_col = np.divmod(key, width)
-    n_c = np.bincount(key_block, minlength=n_blocks)
-    c_start = np.cumsum(n_c) - n_c
-    n_h = np.bincount(key_block[key_col < kept], minlength=n_blocks)
-    pos -= c_start[row_block]
-
-    # shape groups in order of their first block; every group's gather
-    # indices are one (m, r, nh + ng) stretch of a flat array
-    groups = {}
-    for b, shape in enumerate(zip(n_r.tolist(), n_h.tolist(), (n_c - n_h).tolist())):
-        groups.setdefault(shape, []).append(b)
-    groups = {shape: np.array(bs) for shape, bs in groups.items()}
-    by_group = np.concatenate(list(groups.values()))
-    size = (n_r * n_c)[by_group]
-    start = np.empty(n_blocks, dtype=np.intp)
-    start[by_group] = np.cumsum(size) - size
-    flat = np.full(int(size.sum()), -1)
-    flat[start[row_block] + rank[row] * n_c[row_block] + pos] = val
-    out = []
-    for (r, nh, ng), bs in groups.items():
-        n = r * (nh + ng)
-        idx = flat[start[bs[0]]:start[bs[0]] + len(bs) * n]
-        # a block's H and G indices split its bytes at a fixed place
-        classes, reps, inverse = {}, [], []
-        for i, k in enumerate(idx.reshape(len(bs), n)):
-            c = classes.setdefault(k.tobytes(), len(classes))
-            if c == len(reps):
-                reps.append(i)
-            inverse.append(c)
-        rows = order[r_start[bs][:, None] + np.arange(r)]
-        cols = key_col[c_start[bs][:, None] + np.arange(nh + ng)]
-        idx = idx.reshape(len(bs), r, nh + ng)[reps]
-        out.append((rows, cols[:, :nh], cols[:, nh:] - kept, idx[:, :, :nh],
-                    idx[:, :, nh:], np.array(inverse)))
-    return out
-
-
 def _block_sv2(vals, blocks, whiten):
     """Squared singular values of the (whitened) channel, block by block.
 
-    ``vals`` are a program's distinct replay and ``blocks`` its
-    ``_row_blocks``; each shape group's H and G come out of them with one
+    ``vals`` are a program's ``distinct_values`` and ``blocks`` its
+    ``row_blocks``; each shape group's H and G come out of them with one
     take each, for one block per class. Single-row blocks are closed
     form, |h|^2 / (1 + |g|^2); larger ones build their block of
     sigma = I + G G^H and go through ``_whitened_sv2`` (identity when not
@@ -300,21 +208,16 @@ def _sweep_arms(sched: Schedule, plan: SimPlan, arms) -> list:
     once per batch on the shared draw, restricted to ``columns`` (the
     rows of the draw it reads, or None for all of them), and each entry
     of ``whitenings`` scores the batch once, with the true noise
-    covariance (True) or the identity (False). Each call splits every
-    arm's program into expression classes once (``_distinct``), so a
-    batch replays each distinct value and scores each distinct block a
-    single time, and the results are repeated for their copies. Scoring
-    reads the compact replay block by block, through gather indices
-    found once per program from the kept rows' supports; no dense H or G
-    is built. Returns one SweepResult per (arm, whitening), in order.
+    covariance (True) or the identity (False). Each batch replays and
+    scores once per expression class, through the program's
+    ``distinct_values`` and ``row_blocks``; no dense H or G is built.
+    Returns one SweepResult per (arm, whitening), in order.
     """
     n_edges = arms[0][0].n_edges
-    tallies = []     # per arm: distinct replay, blocks, thresholds, counts per scoring
+    tallies = []     # per arm: thresholds, counts per scoring
     for prog, _, whitenings in arms:
         thr = _thresholds(plan, sched, len(prog.kept_rows))
-        steps, rows, first = _distinct(prog)
-        tallies.append(((steps, rows), _row_blocks(prog, first), thr,
-                        [dict.fromkeys(thr, 0) for _ in whitenings]))
+        tallies.append((thr, [dict.fromkeys(thr, 0) for _ in whitenings]))
 
     children = np.random.SeedSequence(plan.seed).spawn(
         -(-plan.trials // plan.batch))
@@ -322,17 +225,17 @@ def _sweep_arms(sched: Schedule, plan: SimPlan, arms) -> list:
         b = min(plan.batch, plan.trials - k * plan.batch)
         rng = np.random.default_rng(child)
         gains = _draw_gains(rng, n_edges, plan.batch)[:, :b]
-        for (_, cols, whitenings), (replay, blocks, thr, counts) in zip(arms, tallies):
-            vals = _replay(*replay, gains if cols is None else gains[cols])
+        for (prog, cols, whitenings), (thr, counts) in zip(arms, tallies):
+            vals = prog.distinct_values(gains if cols is None else gains[cols])
             for whiten, count in zip(whitenings, counts):
-                sv2 = _block_sv2(vals, blocks, whiten)
+                sv2 = _block_sv2(vals, prog.row_blocks, whiten)
                 for db in plan.snr_db:
                     bits = np.log2(1.0 + 10.0 ** (db / 10.0) * sv2).sum(axis=1)
                     for r in plan.rates:
                         count[(db, r)] += int((bits < thr[(db, r)]).sum())
 
     results = []
-    for (prog, _, _), (*_, counts) in zip(arms, tallies):
+    for (prog, _, _), (_, counts) in zip(arms, tallies):
         for count in counts:
             est = {(db, r): OutageEstimate(db, r, count[(db, r)], plan.trials)
                    for db in plan.snr_db for r in plan.rates}

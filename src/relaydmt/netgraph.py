@@ -662,13 +662,23 @@ def network_to_dict(net: Network) -> dict:
     }
 
 
+def _int(value):
+    """``value`` when it is an int; anything else, bool included, is a
+    TypeError rather than a truncation."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
 def network_from_dict(data: dict) -> Network:
+    """Inverse of ``network_to_dict``, where an edge may add its reverse
+    with ``"bidirectional": true``; ``antennas`` must be a JSON integer."""
     try:
         nodes = [
             Node(
                 str(item["id"]),
                 item.get("role", "relay"),
-                int(item.get("antennas", 1)),
+                _int(item.get("antennas", 1)),
                 item.get("duplex", "half"),
             )
             for item in data["nodes"]
@@ -676,7 +686,10 @@ def network_from_dict(data: dict) -> Network:
         edges = []
         for item in data["edges"]:
             edges.append(Edge(str(item["tail"]), str(item["head"])))
-            if item.get("bidirectional"):
+            both = item.get("bidirectional", False)
+            if not isinstance(both, bool):
+                raise TypeError(f"bidirectional must be true or false, got {both!r}")
+            if both:
                 edges.append(Edge(str(item["head"]), str(item["tail"])))
     except (KeyError, TypeError) as exc:
         raise NetworkError(f"malformed network description: {exc}") from exc

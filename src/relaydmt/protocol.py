@@ -20,7 +20,7 @@ from fractions import Fraction
 from heapq import heappop, heappush
 
 from .netgraph import (
-    Network, PathSet, _fully_connected, classify, edge_disjoint_paths,
+    Network, PathSet, _fully_connected, _int, classify, edge_disjoint_paths,
     forward_paths, is_relay_bank)
 
 
@@ -490,11 +490,14 @@ def check_causal_interference(net: Network, sched: Schedule) -> CausalReport:
     """
     if sched.backbone is None:
         raise SchedulingError("schedule carries no path decomposition")
-    delays = sched.added_delays
-    keep = {v for path in sched.backbone for v in path}
-    results = []
-    details = []
-    for path in sched.backbone:
+    return _causal_report(net, sched.backbone, sched.added_delays)
+
+
+def _causal_report(net, backbone, delays):
+    """``check_causal_interference`` on a backbone and its added delays."""
+    keep = {v for path in backbone for v in path}
+    results, details = [], []
+    for path in backbone:
         v, u, d = path[1], path[-2], path[-1]
         tail_weight = (len(path) - 2) + sum(delays.get(w, 0) for w in path[2:-1])
         dist, count = _dijkstra_counted(net, delays, v, keep)
@@ -532,13 +535,7 @@ def _balance_delays(net, backbone, per_node_bound=None):
     if per_node_bound is None:
         per_node_bound = 2 * max(backbone.lengths)
 
-    def probe(delays):
-        sched = Schedule(
-            cycle_length=K, activations={}, backbone=backbone,
-            added_delays=delays, symbols_per_cycle=K)
-        return check_causal_interference(net, sched).ok
-
-    if probe({}):
+    if _causal_report(net, backbone, {}).ok:
         return {}
     firsts = {path[1] for path in backbone}
     nodes = []
@@ -559,7 +556,7 @@ def _balance_delays(net, backbone, per_node_bound=None):
         while stack:
             idx, remaining, current = stack.pop()
             if remaining == 0:
-                if probe(current):
+                if _causal_report(net, backbone, current).ok:
                     return current
             elif idx < len(nodes):
                 v = nodes[idx]
@@ -896,14 +893,6 @@ def schedule_to_dict(sched: Schedule) -> dict:
         "deliveries": {str(k): v for k, v in sched.deliveries.items()},
         "params": dict(sched.params),
     }
-
-
-def _int(value):
-    """``value`` when it is an int; anything else, bool included, is a
-    TypeError rather than a truncation."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"expected an integer, got {value!r}")
-    return value
 
 
 def _slot_key(key):

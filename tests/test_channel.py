@@ -353,9 +353,10 @@ def test_model_keeps_the_program_that_built_it(family):
     (lambda: layered_network((1, 2, 2, 2, 1)), True),
     (lambda: kpp_network((2, 3, 4, 2), direct_link=True), False),
 ], ids=["layered12221", "kppD2342"])
-def test_model_analysis_compiles_one_program(mknet, probed, monkeypatch):
+def test_model_analysis_compiles_one_program(mknet, probed, monkeypatch,
+                                             analysis_builds):
     # propagate compiles; the certificate and the leakage probes reuse
-    # it, and extract_blocks reads the model's structure without
+    # it, and extract_blocks reads the program's structure without
     # certifying or finding it again
     net = mknet()
     sched = auto_schedule(net)
@@ -394,8 +395,13 @@ def test_model_analysis_compiles_one_program(mknet, probed, monkeypatch):
     assert (len(replays) > 0) is probed
     assert len(compiled) == 1
     assert len(certified) == 1
-    # the certificate and extract_blocks read one structure per model
+    # the certificate and extract_blocks read one structure per model;
+    # the leakage makes extract_blocks read the edge masks, once, and
+    # nothing on this path reads the sweeps' classes or row blocks
     assert len(shaped) == 1
+    assert {name: len(progs) for name, progs in analysis_builds.items()} == {
+        "_structure": 1, "_masks": 1, "_classes": 0, "row_blocks": 0}
+    assert analysis_builds["_structure"] == [model.program]
 
 
 @pytest.mark.parametrize("label,mknet,mksched,cycles",
@@ -585,7 +591,7 @@ def test_edge_masks_name_the_gains_each_entry_replays(family):
     # every entry whose mask lacks bit i bit-identical and moves the rest
     net = MASKED_FAMILIES[family]()
     prog = PropagationProgram(net, auto_schedule(net), 4)
-    masks = channel._edge_masks(prog)
+    masks = prog._masks
     base = prog.gain_vector(FadingRealization.sample(net, 2))
     vals = prog.row_values(base)[:, 0]
     assert len(masks) == len(vals)
@@ -601,7 +607,7 @@ def test_edge_masks_name_the_gains_each_entry_replays(family):
 def _all_edges_probe(model):
     """(h_diag, h_rest, independent) with every edge probed: the loop
     extract_blocks ran before edge masks picked the shared edges."""
-    _, main, _ = model._structure
+    _, main, _ = model.program._structure
     h = model.h
     diag_mask = np.zeros(h.shape, dtype=bool)
     diag_mask[np.arange(h.shape[0]), main] = True

@@ -287,6 +287,20 @@ def test_data_errors(tmp_path, nets, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field,value", [("antennas", 2.7), ("bidirectional", "no")])
+def test_classify_rejects_truncated_network_fields(tmp_path, capsys, field, value):
+    # once loaded as 2 antennas (min-cut 2) and as a bidirectional edge
+    data = {"nodes": [{"id": "s", "role": "source", "antennas": 3},
+                      {"id": "d", "role": "sink", "antennas": 3}],
+            "edges": [{"tail": "s", "head": "d"}]}
+    target = data["nodes"][0] if field == "antennas" else data["edges"][0]
+    target[field] = value
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(data))
+    assert main(["classify", "--network", str(path)]) == 3
+    assert "malformed network description" in capsys.readouterr().err
+
+
 def test_classify_spent_search_budget_is_data_error(tmp_path, capsys):
     path = tmp_path / "layered166661.json"
     save_network(layered_network((1, 6, 6, 6, 6, 1)), path)

@@ -5,8 +5,10 @@ are the deterministic ones (reproducibility, monotonicity in rate and
 SNR, whitened-versus-identity ordering).
 """
 
+import ast
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,11 +43,10 @@ from relaydmt import (
     single_link_schedule,
     whitening_check,
 )
-from relaydmt.channel import _distinct, _replay
+from relaydmt import montecarlo
 from relaydmt.montecarlo import (
     _block_sv2,
     _draw_gains,
-    _row_blocks,
     _thresholds,
     _whitened_sv2,
 )
@@ -361,14 +362,13 @@ def _dense_sv2(h, g, whiten):
 
 def _scored(prog, gains):
     """The sweeps' distinct replay of ``gains`` and the blocks reading it."""
-    steps, rows, first = _distinct(prog)
-    return _replay(steps, rows, gains), _row_blocks(prog, first)
+    return prog.distinct_values(gains), prog.row_blocks
 
 
 def _first_copy_reads(prog, gains):
     """The distinct replay read back at each kept row's first copy."""
-    steps, rows, first = _distinct(prog)
-    return _replay(steps, rows, gains)[np.concatenate(
+    first = prog._classes[2]
+    return prog.distinct_values(gains)[np.concatenate(
         [np.arange(i, i + cols.size) for i, cols in zip(first, prog.row_support)]
         + [np.zeros(0, dtype=int)])]
 
@@ -434,7 +434,7 @@ def test_growing_program_repeats_only_part_of_its_values():
     make, cycles = REPLAYED["kppI3-growing"]
     net = make()
     prog = PropagationProgram(net, auto_schedule(net), cycles)
-    steps, rows, _ = _distinct(prog)
+    steps, rows, _ = prog._classes
     assert (len(prog._steps), len(steps)) == (48, 23)
     assert (len(prog.kept_rows), len(rows)) == (12, 6)
     # every cycle's rows reach more columns than the last one's
@@ -550,8 +550,7 @@ SCORED_BLOCKS = {"kpp234": 3, "kppD2342": 3, "layered12221": 2}
 def _blocks_of(family):
     net = SCORED[family]()
     prog = PropagationProgram(net, auto_schedule(net), 4)
-    distinct = _distinct(prog)
-    return prog, distinct, _row_blocks(prog, distinct[2])
+    return prog, prog._classes, prog.row_blocks
 
 
 @pytest.mark.parametrize("family,sizes", [
@@ -601,7 +600,7 @@ def test_rows_sharing_only_relay_noise_form_one_block():
 
 
 def _union_find_row_blocks(prog, first):
-    """``_row_blocks`` as it was first written: a Python union-find over
+    """``row_blocks`` as it was first written: a Python union-find over
     the support entries, then one ``np.unique`` per block and one
     ``searchsorted`` per row. The oracle the array version must match
     byte for byte."""
@@ -640,8 +639,7 @@ def _union_find_row_blocks(prog, first):
 
 
 def _assert_blocks_match_union_find(prog):
-    first = _distinct(prog)[2]
-    got, want = _row_blocks(prog, first), _union_find_row_blocks(prog, first)
+    got, want = prog.row_blocks, _union_find_row_blocks(prog, prog._classes[2])
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert len(g) == len(w) == 6
@@ -683,3 +681,37 @@ def test_row_blocks_match_union_find_on_random_networks(case, cycles):
     except LIBRARY_ERRORS:
         return
     _assert_blocks_match_union_find(PropagationProgram(net, sched, cycles))
+
+
+def _builds(analysis_builds):
+    return {name: len(progs) for name, progs in analysis_builds.items()}
+
+
+def test_whitening_check_builds_the_sweep_analyses_once(analysis_builds):
+    # three batches, each scored twice, read one program's classes and
+    # row blocks; no sweep reads the certificate's shape or edge masks
+    net = SCORED["kppD2342"]()
+    whitening_check(net, auto_schedule(net), small_plan())
+    assert _builds(analysis_builds) == {
+        "_structure": 0, "_masks": 0, "_classes": 1, "row_blocks": 1}
+
+
+def test_backflow_check_builds_the_sweep_analyses_once_per_arm(analysis_builds):
+    net = SCORED["kpp234"]()
+    backflow_check(net, auto_schedule(net), small_plan())
+    assert _builds(analysis_builds) == {
+        "_structure": 0, "_masks": 0, "_classes": 2, "row_blocks": 2}
+    real, twin = analysis_builds["_classes"]
+    assert real is not twin and analysis_builds["row_blocks"] == [real, twin]
+
+
+def test_montecarlo_uses_only_public_channel_names():
+    # the sweeps read a program through its public members; the compiled
+    # step format and the analyses' internals stay inside channel.py
+    tree = ast.parse(Path(montecarlo.__file__).read_text())
+    private = [node.lineno for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module == "channel"
+               and any(alias.name.startswith("_") for alias in node.names)]
+    private += [node.lineno for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and node.attr.startswith("_")]
+    assert private == []

@@ -336,6 +336,41 @@ def test_dict_round_trip_preserves_everything():
         assert network_from_dict(network_to_dict(net)) == net
 
 
+def _two_hop_dict(antennas=1, bidirectional=None):
+    """s -> r -> d with r's ``antennas``, and the r -> d edge marked
+    ``bidirectional`` unless that is None."""
+    edge = {"tail": "r", "head": "d"}
+    if bidirectional is not None:
+        edge["bidirectional"] = bidirectional
+    return {"nodes": [{"id": "s", "role": "source", "antennas": 2},
+                      {"id": "r", "antennas": antennas},
+                      {"id": "d", "role": "sink", "antennas": 2}],
+            "edges": [{"tail": "s", "head": "r"}, edge]}
+
+
+def test_dict_antennas_and_bidirectional_load_as_written():
+    net = network_from_dict(_two_hop_dict(antennas=2, bidirectional=True))
+    assert net.has_edge("d", "r")
+    assert [n.antennas for n in net.nodes] == [2, 2, 2]
+    assert not network_from_dict(_two_hop_dict(bidirectional=False)).has_edge("d", "r")
+
+
+@pytest.mark.parametrize("field,value", [
+    # each once loaded: 2.7 as 2 antennas, true as 1, "3" as 3, and a
+    # non-empty string as true, adding the reverse edge
+    ("antennas", 2.7), ("antennas", True), ("antennas", "3"), ("antennas", 2.0),
+    ("bidirectional", "no"), ("bidirectional", 1), ("bidirectional", None),
+])
+def test_dict_rejects_non_integer_antennas_and_non_boolean_links(field, value):
+    data = _two_hop_dict()
+    if field == "antennas":
+        data["nodes"][1]["antennas"] = value
+    else:
+        data["edges"][1]["bidirectional"] = value
+    with pytest.raises(NetworkError, match="malformed network description"):
+        network_from_dict(data)
+
+
 def test_file_round_trip(tmp_path):
     net = kpp_network((2, 2), direct_link=True, name="disk")
     path = tmp_path / "net.json"
