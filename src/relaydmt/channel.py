@@ -122,6 +122,8 @@ class PropagationProgram:
         self.sched = sched
         self.cycles = cycles
         N = sched.cycle_length
+        if N < 1:
+            raise PropagationError("need a cycle of at least one slot")
         D = sched.steady_state_delay
         self.total_slots = D + cycles * N
         self.keep_from = D
@@ -131,6 +133,9 @@ class PropagationProgram:
         for (tail, head), slots in sched.activations.items():
             if (tail, head) not in net.edge_set:
                 raise PropagationError(f"schedule uses missing edge {(tail, head)}")
+            if slots and (min(slots) < 0 or max(slots) >= N):
+                raise PropagationError(
+                    f"edge {(tail, head)} has a slot outside 0..{N - 1}")
             tx[tail] |= slots
             rx[head] |= slots
         if rx[net.source.id]:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .channel import PropagationError, PropagationProgram
 from .netgraph import Network
-from .protocol import Schedule
+from .protocol import Schedule, SchedulingError
 
 
 def _whitened_sv2(h, sigma):
@@ -287,7 +287,7 @@ def backflow_check(net: Network, sched: Schedule, plan: SimPlan) -> PairedSweep:
     backbone edges removed, isolating what back-flow leakage does to
     the outage slope."""
     if sched.backbone is None:
-        raise ValueError("schedule carries no path decomposition")
+        raise SchedulingError("schedule carries no path decomposition")
     reverse = set()
     for path in sched.backbone:
         for a, b in zip(path, path[1:]):

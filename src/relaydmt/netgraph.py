@@ -360,13 +360,14 @@ def _classify(net: Network) -> Classification:
 
 
 def is_relay_bank(net: Network) -> bool:
-    """True when every relay sits alone between source and sink and the
-    direct source-sink link exists. This is the shape served by the
+    """True when the direct source-sink link exists and every relay sits
+    between source and sink: its links are s -> r and r -> d, both
+    present, and no others. This is the shape served by the
     two-slot single-relay schedule and the slotted sequential one.
     """
     s, d = net.source.id, net.sink.id
     return net.has_edge(s, d) and bool(net.relays) and all(
-        set(net.out_neighbors[r.id]) <= {d} and set(net.in_neighbors[r.id]) <= {s}
+        set(net.out_neighbors[r.id]) == {d} and set(net.in_neighbors[r.id]) == {s}
         for r in net.relays)
 
 
@@ -670,13 +671,21 @@ def _int(value):
     return value
 
 
+def _str(value):
+    """``value`` when it is a string; anything else is a TypeError."""
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {value!r}")
+    return value
+
+
 def network_from_dict(data: dict) -> Network:
     """Inverse of ``network_to_dict``, where an edge may add its reverse
-    with ``"bidirectional": true``; ``antennas`` must be a JSON integer."""
+    with ``"bidirectional": true``; node ids, edge ends and the name must
+    be JSON strings and ``antennas`` a JSON integer."""
     try:
         nodes = [
             Node(
-                str(item["id"]),
+                _str(item["id"]),
                 item.get("role", "relay"),
                 _int(item.get("antennas", 1)),
                 item.get("duplex", "half"),
@@ -685,15 +694,17 @@ def network_from_dict(data: dict) -> Network:
         ]
         edges = []
         for item in data["edges"]:
-            edges.append(Edge(str(item["tail"]), str(item["head"])))
+            tail, head = _str(item["tail"]), _str(item["head"])
+            edges.append(Edge(tail, head))
             both = item.get("bidirectional", False)
             if not isinstance(both, bool):
                 raise TypeError(f"bidirectional must be true or false, got {both!r}")
             if both:
-                edges.append(Edge(str(item["head"]), str(item["tail"])))
+                edges.append(Edge(head, tail))
+        name = _str(data.get("name", ""))
     except (KeyError, TypeError) as exc:
         raise NetworkError(f"malformed network description: {exc}") from exc
-    return Network(nodes, edges, name=str(data.get("name", "")))
+    return Network(nodes, edges, name=name)
 
 
 def save_network(net: Network, path) -> None:

@@ -252,12 +252,12 @@ def color_kpp_three(net: Network) -> Schedule:
 
     The construction depends on l, the number of path lengths that are
     1 mod 3. Paths with such lengths are moved to the front (stable
-    order), colored from a per-case table, and mapped back. For l = 2
-    the table cannot close the third path without letting one relay
-    hear two hops downstream; the slot overrides below confine that to
-    a single node. When the third path has only two edges even that is
-    impossible, and the fallback puts one such node on each of the
-    first two paths instead.
+    order), colored by a per-case step along each path, and mapped
+    back. For l = 2 the steps cannot close the third path without
+    letting one relay hear two hops downstream; the slot overrides
+    below confine that to a single node. When the third path has only
+    two edges even that is impossible, and the fallback puts one such
+    node on each of the first two paths instead.
     """
     backbone = _backbone(net)
     if len(backbone) != 3:
@@ -268,31 +268,22 @@ def color_kpp_three(net: Network) -> Schedule:
     n = [lengths[i] for i in order]
     l = sum(1 for x in n if x % 3 == 1)
 
-    def cyclic(table, length):
-        return [table[j % 3] for j in range(length)]
-
+    # path p starts on color p and steps its color by +1 or by -1 (2)
+    # mod 3 at each hop
     if l == 0:
-        tables = [
-            [p, (p + 2) % 3, (p + 1) % 3] if n[p] % 3 == 0
-            else [p, (p + 1) % 3, (p + 2) % 3]
-            for p in range(3)
-        ]
-        cols = [cyclic(tables[p], n[p]) for p in range(3)]
+        steps = [2 if x % 3 == 0 else 1 for x in n]
     elif l == 1:
-        t1 = [1, 0, 2] if n[1] % 3 == 0 else [1, 2, 0]
-        t2 = [2, 0, 1] if n[2] % 3 == 0 else [2, 1, 0]
-        cols = [cyclic([0, 1, 2], n[0]), cyclic(t1, n[1]), cyclic(t2, n[2])]
-    elif l == 3:
-        cols = [cyclic([p, (p + 1) % 3, (p + 2) % 3], n[p]) for p in range(3)]
-    elif n[2] > 2:
-        cols = [cyclic([p, (p + 1) % 3, (p + 2) % 3], n[p]) for p in range(3)]
+        steps = [1, 2 if n[1] % 3 == 0 else 1, 1 if n[2] % 3 == 0 else 2]
+    else:
+        steps = [1, 1, 1]
+    cols = [[(p + steps[p] * j) % 3 for j in range(n[p])] for p in range(3)]
+    if l == 2 and n[2] > 2:
         cols[2][n[2] - 1] = 2
         if n[2] % 3 == 2:
             cols[2][n[2] - 2] = 0
-    else:
+    elif l == 2:
         # third path is a two-edge path: close it as [2, 0] and bend the
         # two long paths instead, one downstream-overlap node on each
-        cols = [cyclic([p, (p + 1) % 3, (p + 2) % 3], n[p]) for p in range(3)]
         cols[0][n[0] - 1] = 1
         cols[1][n[1] - 1] = 2
         cols[2] = [2, 0]
@@ -349,39 +340,40 @@ def color_regular(net: Network) -> Schedule:
 # ---------------------------------------------------------------------------
 # almost-continuous activation
 
-def _lex_matching(allowed):
-    """Lexicographically smallest complete matching, or None.
-
-    ``allowed[i]`` is the sorted candidate list for left vertex i; the
-    result assigns a distinct value to each i, chosen greedily with
-    backtracking so earlier vertices get the smallest workable value.
+def _closing_slots(forbidden):
+    """Lexicographically smallest assignment of distinct slots 0..K-1 to
+    positions, position i avoiding ``forbidden[i]`` (K >= 3, not every
+    position forbidding the same slot); see almost_continuous_schedule.
     """
-    pick, used, options = [], set(), []
-    while len(pick) < len(allowed):
-        if len(options) == len(pick):
-            options.append(iter(allowed[len(pick)]))
-        c = next((c for c in options[-1] if c not in used), None)
-        if c is not None:
-            pick.append(c)
-            used.add(c)
-            continue
-        # vertex exhausted: move the previous vertex to its next value
-        options.pop()
-        if not pick:
-            return None
-        used.remove(pick.pop())
-    return pick
+    free, pick = list(range(len(forbidden))), []
+    for f in forbidden[:-1]:
+        # the least free slot, or the next one when the least is f
+        pick.append(free.pop(free[0] == f))
+    c = free[0]
+    if c != forbidden[-1]:
+        return pick + [c]
+    q = max(pos for pos, f in enumerate(forbidden) if f != c)
+    return pick[:q] + [c] + sorted(pick[q:])
 
 
 def almost_continuous_schedule(net: Network, delays=None) -> Schedule:
     """Rate-1 schedule for K >= 3 backbone paths where every relay past
     the first forwards in the next slot (plus any per-node added delay).
 
-    Path start slots are the path indices after a stable sort by length
-    mod K (delays included), which guarantees the last-edge slots can
-    be matched to distinct values for K >= 3. The only scheduling
-    freedom is a pause at each path's first relay; it is set by a
-    lexicographically smallest matching of paths to closing slots.
+    Paths start in the slots 0..K-1 in a stable order by effective
+    length ``eff`` mod K (interior delays included). The only free
+    choice is a pause at each path's first relay, which sets the slot
+    its last edge closes in; position pos may not close in
+    (pos + eff - 2) mod K, where the pause would hold the relay in its
+    own slot. The closing slots are the lexicographically smallest
+    choice, by rule: each position in turn takes the least free slot it
+    allows. Only the last position can be left with nothing but its
+    forbidden slot c; then the latest earlier position q that allows c
+    takes it, and the positions after q take the slots that q and its
+    successors held, ascending. A choice always exists: it fails only
+    if every position forbids the same slot, that is if the residues
+    eff mod K fall by one at each position, which a sorted order of
+    K >= 3 residues cannot do.
     """
     return _almost_continuous(_backbone(net), delays)
 
@@ -401,32 +393,21 @@ def _almost_continuous(backbone, delays):
                     f"delay at {v!r} makes a relay forward in its own slot")
 
     def interior_delay(path):
-        # delays at relays past the first; the first relay's pause is
-        # the matching's free variable, so its delay is folded away
+        # delays at relays past the first; the first relay's pause is the
+        # closing-slot choice's free variable, so its delay is folded away
         return sum(delays.get(v, 0) for v in path[2:-1])
 
     eff = [lengths[i] + interior_delay(paths[i]) for i in range(K)]
     order = sorted(range(K), key=lambda i: eff[i] % K)
 
-    forbidden = []
-    allowed = []
-    for pos, i in enumerate(order):
-        f = (pos + eff[i] - 2) % K
-        forbidden.append(f)
-        allowed.append([c for c in range(K) if c != f])
-    pick = _lex_matching(allowed)
-    if pick is None:
-        if not delays:
-            raise AssertionError("no closing-slot matching for K >= 3")
-        raise SchedulingError("delays leave no closing-slot matching")
-
+    pick = _closing_slots([(pos + eff[i] - 2) % K for pos, i in enumerate(order)])
     colors = [None] * K
     for pos, i in enumerate(order):
         path, n = paths[i], lengths[i]
         base = pos + n - 1 + interior_delay(path) + delays.get(path[1], 0)
         pause = (pick[pos] - base) % K
         # a zero-mod-K hold at the first relay would need pick to equal
-        # the forbidden color, which the matching excludes
+        # the forbidden color, which _closing_slots excludes
         assert (1 + delays.get(path[1], 0) + pause) % K != 0
         t = pos
         cols = [t]
@@ -801,19 +782,21 @@ def naf_schedule(net: Network) -> Schedule:
     """Two-slot relay pattern: the relay listens in the first slot and
     repeats in the second while the source keeps talking on the direct
     link."""
-    if len(net.relays) != 1 or not net.has_edge(net.source.id, net.sink.id):
-        raise SchedulingError("need one relay and a direct link")
+    if len(net.relays) != 1:
+        raise SchedulingError("need one relay")
     return saf_schedule(net, 2)
 
 
 def saf_schedule(net: Network, n_slots=5) -> Schedule:
     """Slotted relaying: isolated relays take turns repeating the
     previous slot's broadcast while the source sends a fresh symbol
-    every slot; the final slot of each frame goes unrelayed."""
+    every slot; the final slot of each frame goes unrelayed. The
+    network must be a relay bank (``is_relay_bank``)."""
     s, d = net.source.id, net.sink.id
     relays = sorted(n.id for n in net.relays)
-    if not relays or not net.has_edge(s, d):
-        raise SchedulingError("need relays and a direct link")
+    if not is_relay_bank(net):
+        raise SchedulingError(
+            "need relays between source and sink and a direct link")
     M, R = n_slots, len(relays)
     if M < 2:
         raise SchedulingError("need at least two slots")
@@ -842,33 +825,29 @@ def _parallel_schedule(net):
 def auto_schedule(net: Network) -> Schedule:
     """Canonical schedule for whatever family the network falls in.
 
-    Dispatch follows classify: regular and parallel-path networks get
+    A bank of one or two relays between source and sink, beside the
+    direct link (``is_relay_bank``), gets the two-hop reference pattern:
+    NAF for one relay, SAF for two, as in ``family_dmt``. Otherwise
+    dispatch follows classify: regular and parallel-path networks get
     the matching coloring, inter-path links go through the segmented
     interference construction, a direct link switches on buffered
-    operation on top of the backbone schedule, and layered networks use
-    the partner matching. Relay banks with a direct link fall back to
-    the two-hop reference patterns.
+    operation on top of the backbone schedule (a larger bank is KPP(D)
+    with two-edge paths, so it runs buffered), and layered networks use
+    the partner matching. Any other network is a ``SchedulingError``.
     """
     if not net.relays:
         return single_link_schedule(net)
+    if is_relay_bank(net) and len(net.relays) <= 2:
+        return naf_schedule(net) if len(net.relays) == 1 else saf_schedule(net)
     cls = classify(net)
     if cls.tag == "regular":
         return color_regular(net)
     if cls.backbone is not None:
         if cls.has_direct:
-            try:
-                return kppD_schedule(net)
-            except SchedulingError:
-                if is_relay_bank(net):
-                    return saf_schedule(net)
-                raise
+            return kppD_schedule(net)
         return _parallel_schedule(net)
     if cls.tag in ("layered", "fully-connected-layered"):
         return layered_matching_schedule(net)
-    if is_relay_bank(net):
-        if len(net.relays) == 1:
-            return naf_schedule(net)
-        return saf_schedule(net)
     raise SchedulingError(
         f"no schedule construction covers this network (classified {cls.tag})")
 

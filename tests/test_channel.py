@@ -12,6 +12,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -435,6 +436,25 @@ def test_certificates_across_zoo():
         assert cert.max_thread_error < 1e-9
 
 
+def test_certificate_rejects_thread_values_of_another_draw():
+    net = kpp_network((2, 3, 4))
+    model = propagate(net, color_kpp_three(net), FadingRealization.sample(net, 9))
+    cert = structure_certificate(
+        replace(model, fading=FadingRealization.sample(net, 10)))
+    assert not cert.thread_ok and cert.max_thread_error > 1e-3
+
+
+def test_certificate_skips_rows_no_path_delivers():
+    # a schedule that names no deliveries has no expected thread value on
+    # any row, so the check passes vacuously with zero error
+    net = kpp_network((2, 3, 4))
+    sched = replace(color_kpp_three(net), deliveries={})
+    cert = structure_certificate(
+        propagate(net, sched, FadingRealization.sample(net, 9)))
+    assert cert.kind == "block-lower-triangular"
+    assert cert.thread_ok and cert.max_thread_error == 0.0
+
+
 def test_certificate_thread_values_match_path_products():
     # unequal lengths interleave arrivals across cycle boundaries, so the
     # channel is a permuted diagonal: still one symbol per row, each
@@ -735,6 +755,19 @@ def test_missing_edge_and_listening_source_rejected():
 
     with pytest.raises(PropagationError):
         PropagationProgram(net, naf_schedule(net), 0)
+
+
+def test_slots_outside_the_cycle_and_empty_cycles_rejected():
+    # once a slot past the cycle was dropped (H 4x4 instead of 6x6 here)
+    # and a zero-slot cycle raised ZeroDivisionError from the compile
+    net = kpp_network((2, 2, 2))
+    sched = color_kpp_three(net)
+    pair, slots = next(iter(sched.activations.items()))
+    moved = {**sched.activations, pair: frozenset(t + 3 for t in slots)}
+    with pytest.raises(PropagationError, match="outside"):
+        PropagationProgram(net, replace(sched, activations=moved), 2)
+    with pytest.raises(PropagationError, match="cycle"):
+        PropagationProgram(net, replace(sched, cycle_length=0), 2)
 
 
 # ---------------------------------------------------------------------------

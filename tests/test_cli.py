@@ -287,18 +287,35 @@ def test_data_errors(tmp_path, nets, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("field,value", [("antennas", 2.7), ("bidirectional", "no")])
+@pytest.mark.parametrize("field,value", [("antennas", 2.7), ("bidirectional", "no"),
+                                         ("id", None), ("tail", 1)])
 def test_classify_rejects_truncated_network_fields(tmp_path, capsys, field, value):
-    # once loaded as 2 antennas (min-cut 2) and as a bidirectional edge
+    # once loaded as 2 antennas (min-cut 2), as a bidirectional edge, and
+    # through str() as node "None" and edge tail "1"
     data = {"nodes": [{"id": "s", "role": "source", "antennas": 3},
                       {"id": "d", "role": "sink", "antennas": 3}],
             "edges": [{"tail": "s", "head": "d"}]}
-    target = data["nodes"][0] if field == "antennas" else data["edges"][0]
+    target = data["nodes"][0] if field in ("antennas", "id") else data["edges"][0]
     target[field] = value
     path = tmp_path / "net.json"
     path.write_text(json.dumps(data))
     assert main(["classify", "--network", str(path)]) == 3
     assert "malformed network description" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["schedule", "analyze"])
+@pytest.mark.parametrize("net", [
+    saf_network(3).without_edges({("r3", "d")}),
+    saf_network(2).without_edges({("s", "r2")}),
+], ids=["no-sink-link", "no-source-link"])
+def test_bank_with_a_missing_link_is_data_error(tmp_path, capsys, command, net):
+    # once a 5-slot SAF schedule over the missing edge, and a d(0) = 3
+    # curve over a min-cut of 2
+    path = tmp_path / "net.json"
+    save_network(net, path)
+    assert main([command, "--network", str(path),
+                 "--out", str(tmp_path / "out.json")]) == 3
+    assert "error:" in capsys.readouterr().err
 
 
 def test_classify_spent_search_budget_is_data_error(tmp_path, capsys):

@@ -307,7 +307,7 @@ def test_backflow_check_needs_backbone():
     bare = type(sched)(cycle_length=sched.cycle_length,
                        activations=sched.activations,
                        symbols_per_cycle=sched.symbols_per_cycle)
-    with pytest.raises(ValueError, match="path decomposition"):
+    with pytest.raises(SchedulingError, match="path decomposition"):
         backflow_check(net, bare, small_plan())
 
 

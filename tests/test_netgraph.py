@@ -232,6 +232,11 @@ def test_banks_and_leftovers():
     assert is_relay_bank(saf_network(2))
     assert not is_relay_bank(two_hop_network(2, direct_link=False))
     assert not is_relay_bank(kpp_network((2, 3), direct_link=True))
+    # a relay must hear the source and reach the sink: once a relay that
+    # missed either link still made a bank, and got the bank's schedule
+    # and its d(0) = 3 curve on a network whose min-cut is 2
+    assert not is_relay_bank(saf_network(3).without_edges({("r3", "d")}))
+    assert not is_relay_bank(saf_network(2).without_edges({("s", "r2")}))
 
 
 def test_backbone_marks_exactly_the_parallel_families():
@@ -367,6 +372,23 @@ def test_dict_rejects_non_integer_antennas_and_non_boolean_links(field, value):
         data["nodes"][1]["antennas"] = value
     else:
         data["edges"][1]["bidirectional"] = value
+    with pytest.raises(NetworkError, match="malformed network description"):
+        network_from_dict(data)
+
+
+@pytest.mark.parametrize("place,value", [
+    # each once loaded through str(): None as node "None", 1 as "1", a
+    # list as the name "['x']"
+    ("id", None), ("id", 1), ("tail", None), ("head", 2), ("name", ["x"]),
+])
+def test_dict_rejects_non_string_ids_and_names(place, value):
+    data = _two_hop_dict()
+    if place == "id":
+        data["nodes"][1]["id"] = value
+    elif place == "name":
+        data["name"] = value
+    else:
+        data["edges"][1][place] = value
     with pytest.raises(NetworkError, match="malformed network description"):
         network_from_dict(data)
 

@@ -20,6 +20,7 @@ from relaydmt import (
     PathSet,
     Schedule,
     SchedulingError,
+    UnsupportedFamilyError,
     almost_continuous_schedule,
     auto_schedule,
     balance_delays_kpp3,
@@ -51,7 +52,7 @@ from relaydmt import (
     two_hop_network,
     validate_orthogonal,
 )
-from relaydmt.protocol import _has_cycle
+from relaydmt.protocol import _closing_slots, _has_cycle
 
 
 # ---------------------------------------------------------------------------
@@ -129,6 +130,18 @@ def test_three_path_coloring_handles_unequal_lengths():
         assert_clean_flow(sched, cycles=10)
 
 
+@pytest.mark.parametrize("lengths,backflow", [
+    # all three lengths 1 mod 3, and two of them with a long third path
+    # or a two-edge third path, whose long paths bend once each
+    ((4, 4, 4), ()), ((7, 4, 4), ()), ((4, 4, 2), ("p1r2", "p2r2")),
+])
+def test_three_path_coloring_branches(lengths, backflow):
+    net = kpp_network(lengths)
+    report = validate_orthogonal(net, color_kpp_three(net))
+    assert report.ok and report.rate == 1
+    assert report.backflow_nodes == backflow
+
+
 def test_two_path_rate_formula():
     for n1 in range(2, 11):
         for n2 in range(n1, 11):
@@ -168,17 +181,66 @@ def test_closing_slot_matching_for_many_paths_needs_no_recursion():
     assert sched.cycle_length == 1000 and sched.rate == 1
 
 
+def _lex_matching(allowed):
+    """Oracle: lexicographically smallest complete matching, or None.
+
+    ``allowed[i]`` is the sorted candidate list for left vertex i; the
+    result assigns a distinct value to each i, chosen greedily with
+    backtracking so earlier vertices get the smallest workable value.
+    """
+    pick, used, options = [], set(), []
+    while len(pick) < len(allowed):
+        if len(options) == len(pick):
+            options.append(iter(allowed[len(pick)]))
+        c = next((c for c in options[-1] if c not in used), None)
+        if c is not None:
+            pick.append(c)
+            used.add(c)
+            continue
+        # vertex exhausted: move the previous vertex to its next value
+        options.pop()
+        if not pick:
+            return None
+        used.remove(pick.pop())
+    return pick
+
+
+def test_closing_slots_match_the_backtracking_oracle():
+    def oracle(forbidden):
+        K = len(forbidden)
+        return _lex_matching([[c for c in range(K) if c != f] for f in forbidden])
+
+    # every forbidden list for K = 3..6: no matching exactly when every
+    # position forbids the same slot, and the rule agrees everywhere else
+    for K in range(3, 7):
+        for forbidden in itertools.product(range(K), repeat=K):
+            if len(set(forbidden)) == 1:
+                assert oracle(forbidden) is None
+            else:
+                assert _closing_slots(forbidden) == oracle(forbidden), forbidden
+    # the lists the schedule meets, residues sorted: always a matching
+    for K in range(3, 9):
+        for res in itertools.combinations_with_replacement(range(K), K):
+            forbidden = [(pos + r - 2) % K for pos, r in enumerate(res)]
+            assert len(set(forbidden)) > 1
+            assert _closing_slots(forbidden) == oracle(forbidden), forbidden
+
+
 def test_constructor_for_another_family_is_rejected():
     cases = [
-        (color_kpp_two, (2, 3, 4)),
-        (color_kpp_three, (2, 3)),
-        (color_kpp_general, (2, 3, 4)),
-        (color_regular, (2, 3)),
-        (almost_continuous_schedule, (2, 3)),
+        (color_kpp_two, kpp_network((2, 3, 4))),
+        (color_kpp_three, kpp_network((2, 3))),
+        (color_kpp_general, kpp_network((2, 3, 4))),
+        (color_regular, kpp_network((2, 3))),
+        (almost_continuous_schedule, kpp_network((2, 3))),
+        (naf_schedule, saf_network(2)),
+        # the slotted bank once scheduled relay-to-sink edges these lack
+        (saf_schedule, kpp_network((2, 3, 4), direct_link=True)),
+        (saf_schedule, saf_network(3).without_edges({("r3", "d")})),
     ]
-    for build, lengths in cases:
+    for build, net in cases:
         with pytest.raises(SchedulingError):
-            build(kpp_network(lengths))
+            build(net)
 
 
 def test_two_path_coloring_needs_the_short_path_first():
@@ -546,6 +608,35 @@ def test_auto_schedule_covers_the_zoo():
         sched = auto_schedule(net)
         for field, want in expected.items():
             assert getattr(sched, field) == want, (net.name or net, field)
+
+
+@pytest.mark.parametrize("net", [
+    *(saf_network(k) for k in range(1, 6)),
+    saf_network(3).without_edges({("r3", "d")}),
+    saf_network(2).without_edges({("s", "r2")}),
+    kpp_network((2, 3, 4), direct_link=True),
+], ids=[*(f"saf{k}" for k in range(1, 6)), "no-sink-link", "no-source-link",
+        "kppD234"])
+def test_two_hop_patterns_exactly_where_the_curve_is_two_hop(net):
+    # auto_schedule and family_dmt state the same bank rule: NAF/SAF and
+    # the two-hop reference curve for one or two relays, buffered
+    # operation and the K+1 line for more, nothing for a relay that
+    # misses its source or sink link
+    try:
+        sched = auto_schedule(net)
+    except SchedulingError:
+        sched = None
+    try:
+        fam = family_dmt(net)
+    except UnsupportedFamilyError:
+        fam = None
+    assert (sched is None) == (fam is None)
+    if sched is not None:
+        two_hop = any("half-duplex relaying" in note for note in fam.notes)
+        assert bool(sched.params.get("direct_every_slot")) == two_hop
+        assert two_hop == (len(net.relays) <= 2)
+    else:
+        assert classify(net).tag == "other"
 
 
 def test_auto_schedule_layered_dispatch():
