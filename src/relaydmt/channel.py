@@ -27,6 +27,7 @@ that the scheduling machinery is designed to keep harmless.
 
 from __future__ import annotations
 
+import numbers
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -116,6 +117,8 @@ class PropagationProgram:
     """
 
     def __init__(self, net: Network, sched: Schedule, cycles: int):
+        if isinstance(cycles, bool) or not isinstance(cycles, numbers.Integral):
+            raise PropagationError(f"cycles must be an integer, got {cycles!r}")
         if cycles < 1:
             raise PropagationError("need at least one cycle")
         self.net = net
@@ -163,22 +166,25 @@ class PropagationProgram:
         builds the value each listener hears. That value sums gain times
         earlier values, so its support (the symbol columns
         0..n_symbols-1 and noise columns n_symbols + k it reaches) is the
-        union of theirs. Its layout is the first term's support, then each
-        later term's new columns, then its own noise column; each term
-        records where its source lands, as a slice when contiguous. Relays
-        store their value after the slot and the sink's becomes a row.
-        Registers and FIFOs are resolved here, so ``run`` only replays the
-        steps kept rows depend on.
+        union of theirs. Its layout is a tuple: the first term's support,
+        then each later term's new columns, then its own noise column.
+        Each term records where its source lands, as a slice when
+        contiguous. A term whose support is disjoint from the layout so
+        far is appended to it whole; only a term that overlaps it makes
+        a column -> position dict, which places the overlap and appends
+        the new columns. Relays store their value after the slot and the
+        sink's becomes a row. Registers and FIFOs are resolved here, so
+        ``run`` only replays the steps kept rows depend on.
         """
         net, N = self.net, self.sched.cycle_length
         sid, did = net.source.id, net.sink.id
-        self.n_symbols = sum(t % N in tx[sid] for t in range(self.total_slots))
-        self.n_noise = 0
-        self.injections = []      # (slot, symbol index)
-        self.rows = []            # absolute slot per sink row, in order
+        n_symbols = sum(t % N in tx[sid] for t in range(self.total_slots))
+        injections = []           # (slot, symbol index)
+        slots = []                # absolute slot per sink row, in order
         regs = {}
         queues = {u: deque([None] * b) for u, b in self.buffered.items()}
-        values = []               # per value: (support, terms, adds noise)
+        # per value, in parallel: its support (its layout), terms, adds noise
+        sups, terms, noises = [], [], []
         row_values = []           # per row: its value
 
         # per phase: whether the source talks, the relays that talk, the
@@ -196,79 +202,85 @@ class PropagationProgram:
             phases.append((sid in talkers, list(talkers - {sid}),
                            [(u, f) for u, f in feeds.items() if u != did], feeds.get(did)))
 
-        def signal(w):
-            if w in queues:
-                q = queues[w]
-                return q.popleft() if q else None
-            return regs.get(w)
-
         def combine(feeds, pulled, noise):
-            index, out = {}, []   # column -> position, in layout order
+            layout, out, index = (), [], None   # index: column -> position
             for w, edge in feeds:
                 if w == sid:    # the symbol injected this slot
-                    src, sup = None, (len(self.injections) - 1,)
+                    src, sup = None, (len(injections) - 1,)
                 else:
                     src = pulled[w]
                     if src is None:
                         continue
-                    sup = values[src][0]
-                n = len(index)
-                if not n or index.keys().isdisjoint(sup):
-                    index.update(zip(sup, range(n, n + len(sup))))
+                    sup = sups[src]
+                n = len(layout)
+                if index is None and (not n or set(layout).isdisjoint(sup)):
+                    layout += sup
                     where = slice(n, n + len(sup))
                 else:
+                    if index is None:
+                        index = dict(zip(layout, range(n)))
                     pos = [index.setdefault(c, len(index)) for c in sup]
                     contiguous = pos == list(range(pos[0], pos[0] + len(pos)))
                     where = slice(pos[0], pos[-1] + 1) if contiguous else np.array(pos)
                 out.append((src, edge, where))
+            if index is not None:
+                layout = tuple(index)
             if noise is not None:
-                index[noise] = len(index)
-            values.append((tuple(index), out, noise is not None))
-            return len(values) - 1
+                layout += (noise,)
+            sups.append(layout)
+            terms.append(out)
+            noises.append(noise is not None)
+            return len(sups) - 1
 
+        noise_col = n_symbols     # the next relay noise column
         for t in range(self.total_slots):
             injects, pullers, listeners, sink = phases[t % N]
             if injects:
-                self.injections.append((t, len(self.injections)))
-            pulled = {w: signal(w) for w in pullers}
+                injections.append((t, len(injections)))
+            pulled = {}
+            for w in pullers:
+                q = queues.get(w)
+                pulled[w] = regs.get(w) if q is None else q.popleft() if q else None
             updates = []
             for u, feeds in listeners:
-                updates.append((u, combine(feeds, pulled, self.n_symbols + self.n_noise)))
-                self.n_noise += 1
+                updates.append((u, combine(feeds, pulled, noise_col)))
+                noise_col += 1
             if sink is not None:
-                self.rows.append(t)
+                slots.append(t)
                 row_values.append(combine(sink, pulled, None))
             for u, v in updates:
                 if u in queues:
                     queues[u].append(v)
                 else:
                     regs[u] = v
-        self.kept_rows = [i for i, t in enumerate(self.rows) if t >= self.keep_from]
+        self.n_symbols, self.n_noise = n_symbols, noise_col - n_symbols
+        self.injections, self.rows = injections, slots
+        self.kept_rows = [i for i, t in enumerate(slots) if t >= self.keep_from]
 
         # keep only the steps a kept row depends on, and free each value
         # after its last reader
         rows = [row_values[i] for i in self.kept_rows]
-        live = bytearray(len(values))
+        live = bytearray(len(sups))
         for v in rows:
             live[v] = 1
-        for v in reversed(range(len(values))):
+        for v in reversed(range(len(sups))):
             if live[v]:
-                for src, _, _ in values[v][1]:
+                for src, _, _ in terms[v]:
                     if src is not None:
                         live[src] = 1
         live = [v for v, flag in enumerate(live) if flag]
-        last = {src: v for v in live for src, _, _ in values[v][1] if src is not None}
+        last = {src: v for v in live for src, _, _ in terms[v] if src is not None}
         frees = {}
         for src, v in last.items():
             frees.setdefault(v, []).append(src)
-        self._steps = [(v, len(values[v][0]), *values[v][1:], frees.get(v, ()))
+        self._steps = [(v, len(sups[v]), terms[v], noises[v], frees.get(v, ()))
                        for v in live]
         self._row_values = rows
 
         # per kept row, the columns of [h | g] it reaches, in layout order:
         # every kept row's support mapped through one column map
-        sizes = [len(values[v][0]) for v in rows]
-        sup = np.fromiter(chain.from_iterable(values[v][0] for v in rows),
+        sizes = [len(sups[v]) for v in rows]
+        sup = np.fromiter(chain.from_iterable(sups[v] for v in rows),
                           dtype=np.intp, count=sum(sizes))
         kept = np.zeros(self.n_symbols + self.n_noise, dtype=bool)
         kept[sup] = True                  # symbols some kept row reaches
@@ -348,7 +360,11 @@ class PropagationProgram:
         operands. A slow-fading window repeats most values from cycle to
         cycle, shifted in columns but not in layout, so this one rule covers
         periodic and growing programs alike. One walk over the steps names
-        each value's class after its first copy.
+        each value's class after its first copy. A step key is one flat
+        tuple: size, noise flag, then per term the class of its source,
+        its edge and either the start and stop of its slice or the bytes
+        of its position array. The third item of a term is an int for a
+        slice and bytes for an array, so no two term lists share a key.
 
         Returns (steps, rows, first): the first copies' steps, with sources
         renamed to their classes and frees recomputed; the distinct row
@@ -364,16 +380,18 @@ class PropagationProgram:
         one pair +12.5%, past the 10% bound). That move waits until
         ``run_rounds`` drops each round's outputs once checked.
         """
-        cls, seen, kept = {}, {}, []
+        cls, seen, kept = {None: None}, {}, []    # a symbol term's source stays None
         for v, size, terms, noise, _ in self._steps:
-            terms = [(None if src is None else cls[src], gidx, where)
-                     for src, gidx, where in terms]
-            key = (size, noise, tuple(
-                (src, gidx, (where.start, where.stop) if isinstance(where, slice)
-                 else where.tobytes()) for src, gidx, where in terms))
-            cls[v] = seen.setdefault(key, v)
-            if cls[v] == v:
-                kept.append((v, size, terms, noise))
+            key = [size, noise]
+            for src, gidx, where in terms:
+                if isinstance(where, slice):
+                    key += cls[src], gidx, where.start, where.stop
+                else:
+                    key += cls[src], gidx, where.tobytes()
+            c = cls[v] = seen.setdefault(tuple(key), v)
+            if c == v:
+                kept.append((v, size, [(cls[src], gidx, where) for src, gidx, where in terms],
+                             noise))
         last = {src: v for v, _, terms, _ in kept for src, _, _ in terms if src is not None}
         frees = {}
         for src, v in last.items():
@@ -606,14 +624,19 @@ def structure_certificate(model: TransferModel) -> StructureCertificate:
     reaches a later cycle's symbols and a channel whose rows advance at
     neither end is block lower triangular. The thread check compares the
     expected per-row coefficient with the matching entry of H at
-    relative tolerance ``_THREAD_TOL``.
+    relative tolerance ``_THREAD_TOL``. A check with no expected value on
+    any row has checked nothing, so it does not pass.
     """
     kind, main, notes = model.program._structure
     if kind == "none":
         return StructureCertificate(kind, False, np.inf, notes=notes)
+    expected = _expected_thread(model)
+    if all(exp is None for exp in expected):
+        return StructureCertificate(kind, False, np.inf, main_columns=tuple(main),
+                                    notes=("no row has an expected thread value",))
     err = 0.0
     ok = True
-    for r, exp in enumerate(_expected_thread(model)):
+    for r, exp in enumerate(expected):
         if exp is None:
             continue
         got = model.h[r, main[r]]

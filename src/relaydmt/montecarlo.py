@@ -20,22 +20,23 @@ from .netgraph import Network
 from .protocol import Schedule, SchedulingError
 
 
-def _whitened_sv2(h, sigma):
+def _whitened_sv2(h, sigma, cycles=None):
     """Squared singular values of L^-1 h, where L L^H = sigma.
 
     Batched over leading axes; ``sigma=None`` stands for the identity
     and skips the whitening. This is the one place the library factors
     a noise covariance: one that is not positive definite in double
-    raises PropagationError.
+    raises PropagationError, which suggests fewer cycles when the
+    window's ``cycles`` is known and more than one.
     """
     if sigma is not None:
         try:
             chol = np.linalg.cholesky(sigma)
         except np.linalg.LinAlgError:
+            hint = "; fewer cycles may help" if cycles is not None and cycles > 1 else ""
             raise PropagationError(
                 f"{sigma.shape[-1]}-row noise covariance is not positive "
-                f"definite in double (max|sigma| = {np.abs(sigma).max():.3g}); "
-                f"fewer cycles may help") from None
+                f"definite in double (max|sigma| = {np.abs(sigma).max():.3g}){hint}") from None
         h = np.linalg.solve(chol, h)
     return np.linalg.svd(h, compute_uv=False) ** 2
 
@@ -59,8 +60,8 @@ class SimPlan:
     fit_points: int = 4
 
     def __post_init__(self):
-        for name, least in (("trials", 1), ("batch", 1), ("count_floor", 1),
-                            ("fit_points", 2)):
+        for name, least in (("trials", 1), ("cycles", 1), ("batch", 1),
+                            ("count_floor", 1), ("fit_points", 2)):
             _require_int(f"SimPlan.{name}", getattr(self, name), least)
         for r in self.rates:
             if not math.isfinite(r) or r < 0:
@@ -170,7 +171,7 @@ def _thresholds(plan, sched, n_rows):
     return thr
 
 
-def _block_sv2(vals, blocks, whiten):
+def _block_sv2(vals, blocks, whiten, cycles=None):
     """Squared singular values of the (whitened) channel, block by block.
 
     ``vals`` are a program's ``distinct_values`` and ``blocks`` its
@@ -180,7 +181,8 @@ def _block_sv2(vals, blocks, whiten):
     sigma = I + G G^H and go through ``_whitened_sv2`` (identity when not
     whitening). The class results are expanded to every block through
     the inverse index, so each column, and the order of the columns,
-    is what scoring every block would give. Returns (batch, n).
+    is what scoring every block would give. ``cycles``, the window's
+    cycle count, only shapes ``_whitened_sv2``'s error. Returns (batch, n).
     """
     vals = np.concatenate([vals, np.zeros((1, vals.shape[1]))])
     out = [np.zeros((vals.shape[1], 0))]
@@ -196,7 +198,7 @@ def _block_sv2(vals, blocks, whiten):
         else:
             sigma = (gb @ np.conj(np.swapaxes(gb, -1, -2)) + np.eye(rows.shape[1])
                      if whiten else None)
-            sv2 = _whitened_sv2(hb, sigma)
+            sv2 = _whitened_sv2(hb, sigma, cycles)
         out.append(sv2[:, inverse].reshape(len(sv2), -1))
     return np.concatenate(out, axis=1)
 
@@ -228,7 +230,7 @@ def _sweep_arms(sched: Schedule, plan: SimPlan, arms) -> list:
         for (prog, cols, whitenings), (thr, counts) in zip(arms, tallies):
             vals = prog.distinct_values(gains if cols is None else gains[cols])
             for whiten, count in zip(whitenings, counts):
-                sv2 = _block_sv2(vals, prog.row_blocks, whiten)
+                sv2 = _block_sv2(vals, prog.row_blocks, whiten, plan.cycles)
                 for db in plan.snr_db:
                     bits = np.log2(1.0 + 10.0 ** (db / 10.0) * sv2).sum(axis=1)
                     for r in plan.rates:

@@ -60,10 +60,12 @@ def mutual_info(h, snr, sigma=None) -> float:
     through ``_whitened_sv2``, the sweeps' own routine, so a covariance
     that cannot be factored in double raises PropagationError.
     """
+    cycles = None
     if isinstance(h, TransferModel):
         sigma = h.sigma if sigma is None else sigma
-        h = h.h
-    sv2 = _whitened_sv2(np.asarray(h), None if sigma is None else np.asarray(sigma))
+        h, cycles = h.h, h.program.cycles
+    sv2 = _whitened_sv2(np.asarray(h), None if sigma is None else np.asarray(sigma),
+                        cycles)
     return float(np.log2(1.0 + snr * sv2).sum())
 
 
@@ -208,10 +210,19 @@ def test_fit_slope_rejects_a_zero_floor_or_fewer_than_two_points():
             fit_slope(est, fit_points=points)
 
 
-def test_sim_plan_leaves_cycles_to_the_program():
+def test_sim_plan_and_program_check_cycles():
+    # unchecked, cycles=2.5 reached range() as a TypeError, cycles=True ran
+    # one cycle and cycles=0 waited for the sweep to compile
+    for value in (0, -1, 2.5, True, "2"):
+        with pytest.raises(ValueError, match="SimPlan.cycles must be an integer"):
+            small_plan(cycles=value)
     net = naf_network()
+    for value in (2.5, True, "2"):
+        with pytest.raises(PropagationError, match="cycles must be an integer"):
+            PropagationProgram(net, naf_schedule(net), value)
     with pytest.raises(PropagationError, match="at least one cycle"):
-        outage_sweep(net, naf_schedule(net), small_plan(cycles=0))
+        PropagationProgram(net, naf_schedule(net), 0)
+    assert PropagationProgram(net, naf_schedule(net), np.int64(2)).cycles == 2
 
 
 def test_threshold_rules():
@@ -487,6 +498,15 @@ def test_kpp45_unwhitenable_covariance_is_a_library_error():
     net = kpp_network((4, 5))
     with pytest.raises(PropagationError, match="not positive definite.*fewer cycles"):
         outage_sweep(net, auto_schedule(net), SimPlan(trials=256, seed=0))
+
+
+def test_unwhitenable_one_cycle_window_suggests_no_fewer_cycles():
+    # crossed KPP(I) (2,3,3,5) loses its covariance in double already at
+    # one cycle, where fewer cycles is no way out
+    net = kpp_network((2, 3, 3, 5), cross_links=[((3, 1), (4, 2))])
+    with pytest.raises(PropagationError, match="not positive definite") as err:
+        outage_sweep(net, auto_schedule(net), SimPlan(trials=256, seed=0, cycles=1))
+    assert "cycles" not in str(err.value)
 
 
 def test_mutual_info_on_unwhitenable_model_is_a_library_error():
