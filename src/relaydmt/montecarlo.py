@@ -1,16 +1,25 @@
 """Monte Carlo outage estimation and slope extraction.
 
 The achievability side of every tradeoff claim is checked by sampling
-fading realizations, building the induced linear channel once per
-realization, and reusing its singular values across the whole SNR and
+fading realizations, replaying the schedule's channel once per batch of
+them, and reusing each draw's singular values across the whole SNR and
 rate grid. Outage slopes on a log-log axis estimate the diversity
 order actually delivered by a schedule.
+
+A sweep's draws come in batches of ``SimPlan.batch``, each with its own
+child of the plan's seed, so the batches are independent units of work:
+a sweep of more than one batch scores them on a thread pool sized to
+the CPUs the process may run on (numpy's linear algebra releases the
+GIL) and sums their integer outage counts, which gives the counts of a
+serial pass exactly.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,7 +57,13 @@ def _require_int(name, value, least):
 
 @dataclass(frozen=True)
 class SimPlan:
-    """Sweep settings; the seed pins the whole gain stream."""
+    """Sweep settings; the seed pins the whole gain stream.
+
+    The draws come in batches of ``batch``, each seeded by its own child
+    of ``seed``, so ``batch`` sets both the gain stream and the unit of
+    parallel work. ``snr_db`` and ``rates`` must be finite and distinct:
+    each (snr, rate) cell is one estimate.
+    """
 
     snr_db: tuple = (10, 15, 20, 25, 30, 35, 40)
     rates: tuple = (0.0,)
@@ -67,6 +82,13 @@ class SimPlan:
             if not math.isfinite(r) or r < 0:
                 raise ValueError(f"SimPlan.rates must be finite and nonnegative, "
                                  f"got {r!r}")
+        for db in self.snr_db:
+            if not math.isfinite(db):
+                raise ValueError(f"SimPlan.snr_db must be finite, got {db!r}")
+        for name in ("snr_db", "rates"):
+            values = getattr(self, name)
+            if len(set(values)) < len(values):
+                raise ValueError(f"SimPlan.{name} must be distinct, got {values!r}")
 
 
 @dataclass(frozen=True)
@@ -203,6 +225,43 @@ def _block_sv2(vals, blocks, whiten, cycles=None):
     return np.concatenate(out, axis=1)
 
 
+@functools.cache
+def _pool(pid):
+    """The sweeps' thread pool of process ``pid``, made on first use: one
+    worker per CPU the process may run on. Keyed by the process id, so a
+    forked child, which has none of its parent's workers, makes its own.
+    """
+    # imported on first use: concurrent.futures brings in logging, 0.7 MB of
+    # resident memory that a process sweeping one batch at a time never needs
+    from concurrent.futures import ThreadPoolExecutor
+
+    try:
+        workers = len(os.sched_getaffinity(0))
+    except AttributeError:          # no affinity call, as on macOS
+        workers = os.cpu_count() or 1
+    return ThreadPoolExecutor(workers, thread_name_prefix="relaydmt-sweep")
+
+
+def _score_batch(plan, n_edges, jobs, k, child):
+    """Draw batch ``k`` from its seed ``child`` and score it on every job.
+
+    Returns the batch's outage counts as one flat list of ints, per
+    scoring (jobs and their whitenings in order), then per SNR, then per
+    rate.
+    """
+    b = min(plan.batch, plan.trials - k * plan.batch)
+    gains = _draw_gains(np.random.default_rng(child), n_edges, plan.batch)[:, :b]
+    counts = []
+    for prog, cols, whitenings, blocks, thr in jobs:
+        vals = prog.distinct_values(gains if cols is None else gains[cols])
+        for whiten in whitenings:
+            sv2 = _block_sv2(vals, blocks, whiten, plan.cycles)
+            for db in plan.snr_db:
+                bits = np.log2(1.0 + 10.0 ** (db / 10.0) * sv2).sum(axis=1)
+                counts += [int((bits < thr[(db, r)]).sum()) for r in plan.rates]
+    return counts
+
+
 def _sweep_arms(sched: Schedule, plan: SimPlan, arms) -> list:
     """Score every arm on one seeded stream of fading draws.
 
@@ -213,33 +272,29 @@ def _sweep_arms(sched: Schedule, plan: SimPlan, arms) -> list:
     covariance (True) or the identity (False). Each batch replays and
     scores once per expression class, through the program's
     ``distinct_values`` and ``row_blocks``; no dense H or G is built.
+
+    Each batch, drawn from its own child of the plan's seed, is one unit
+    of work (``_score_batch``). One batch runs on the calling thread;
+    more run on the process's thread pool, and their integer counts are
+    summed, so every estimate is the serial pass's. Every program's row
+    blocks and classes are built here first, since from Python 3.12 a
+    cached_property takes no lock. Results are taken in batch order, so
+    a failing sweep raises the error the serial pass would raise first.
     Returns one SweepResult per (arm, whitening), in order.
     """
-    n_edges = arms[0][0].n_edges
-    tallies = []     # per arm: thresholds, counts per scoring
-    for prog, _, whitenings in arms:
-        thr = _thresholds(plan, sched, len(prog.kept_rows))
-        tallies.append((thr, [dict.fromkeys(thr, 0) for _ in whitenings]))
-
-    children = np.random.SeedSequence(plan.seed).spawn(
-        -(-plan.trials // plan.batch))
-    for k, child in enumerate(children):
-        b = min(plan.batch, plan.trials - k * plan.batch)
-        rng = np.random.default_rng(child)
-        gains = _draw_gains(rng, n_edges, plan.batch)[:, :b]
-        for (prog, cols, whitenings), (thr, counts) in zip(arms, tallies):
-            vals = prog.distinct_values(gains if cols is None else gains[cols])
-            for whiten, count in zip(whitenings, counts):
-                sv2 = _block_sv2(vals, prog.row_blocks, whiten, plan.cycles)
-                for db in plan.snr_db:
-                    bits = np.log2(1.0 + 10.0 ** (db / 10.0) * sv2).sum(axis=1)
-                    for r in plan.rates:
-                        count[(db, r)] += int((bits < thr[(db, r)]).sum())
+    jobs = [(prog, cols, whitenings, prog.row_blocks,
+             _thresholds(plan, sched, len(prog.kept_rows)))
+            for prog, cols, whitenings in arms]
+    work = functools.partial(_score_batch, plan, arms[0][0].n_edges, jobs)
+    children = np.random.SeedSequence(plan.seed).spawn(-(-plan.trials // plan.batch))
+    batches = (map if len(children) == 1 else _pool(os.getpid()).map)(
+        work, range(len(children)), children)
+    totals = iter(map(sum, zip(*batches)))     # each count summed over the batches
 
     results = []
-    for (prog, _, _), (_, counts) in zip(arms, tallies):
-        for count in counts:
-            est = {(db, r): OutageEstimate(db, r, count[(db, r)], plan.trials)
+    for prog, _, whitenings in arms:
+        for _ in whitenings:
+            est = {(db, r): OutageEstimate(db, r, next(totals), plan.trials)
                    for db in plan.snr_db for r in plan.rates}
             slopes = {r: fit_slope([est[(db, r)] for db in plan.snr_db],
                                    plan.count_floor, plan.fit_points)
@@ -252,9 +307,10 @@ def _sweep_arms(sched: Schedule, plan: SimPlan, arms) -> list:
 def outage_sweep(net: Network, sched: Schedule, plan: SimPlan) -> SweepResult:
     """Estimate outage probability over the plan's SNR x rate grid.
 
-    One propagation and one SVD per fading realization serve every
-    grid cell; outage is declared when the window's mutual information
-    falls below the rate budget of the cell.
+    Each batch of fading draws replays the schedule's channel once and
+    scores it once per expression class; the squared singular values of
+    every draw serve every grid cell. Outage is declared when the
+    window's mutual information falls below the rate budget of the cell.
     """
     prog = PropagationProgram(net, sched, plan.cycles)
     return _sweep_arms(sched, plan, [(prog, None, (True,))])[0]

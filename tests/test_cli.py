@@ -250,6 +250,13 @@ def test_simulate_usage_errors(nets, capsys):
           "--rates", "0.5,nan"], "not finite"),
         (["simulate", "--network", nets["naf"], "--out", "x.csv",
           "--rates", "inf"], "not finite"),
+        # a repeated rate, or SNR points that round to one, counted each
+        # draw twice into one estimate
+        (["simulate", "--network", nets["naf"], "--out", "x.csv",
+          "--rates", "0.5,0.5"], "SimPlan.rates must be distinct"),
+        (["simulate", "--network", nets["naf"], "--out", "x.csv",
+          "--snr-min", "0", "--snr-max", "1e-9", "--snr-step", "1e-10"],
+         "SimPlan.snr_db must be distinct"),
         (["compare", "--network", nets["naf"], "--rates", "0.5",
           "--tolerance", "nan"], "--tolerance"),
         (["simulate", "--network", nets["naf"], "--out", "x.csv",

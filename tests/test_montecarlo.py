@@ -7,8 +7,13 @@ SNR, whitened-versus-identity ordering).
 
 import ast
 import math
+import multiprocessing
+import os
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -210,6 +215,18 @@ def test_fit_slope_rejects_a_zero_floor_or_fewer_than_two_points():
             fit_slope(est, fit_points=points)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("snr_db", (math.nan, 10, math.inf)), ("snr_db", (10, -math.inf)),
+    ("snr_db", (0, 0, 5)), ("rates", (0.5, 0.5)),
+])
+def test_sim_plan_rejects_bad_grids(field, value):
+    # unchecked, NaN and infinite SNRs counted no outages, a repeated SNR
+    # counted each draw twice into one estimate and fit_slope then died
+    # in math.sqrt, and a repeated rate counted 18 outages of 64 draws
+    with pytest.raises(ValueError, match=f"SimPlan.{field} must be"):
+        small_plan(**{field: value})
+
+
 def test_sim_plan_and_program_check_cycles():
     # unchecked, cycles=2.5 reached range() as a TypeError, cycles=True ran
     # one cycle and cycles=0 waited for the sweep to compile
@@ -310,6 +327,109 @@ def test_paired_checks_share_the_sweep_draws(net):
                  backflow_check(net, sched, plan)):
         assert pair.first.estimates == plain.estimates
         assert pair.first.slopes == plain.slopes
+
+
+def _serial_pool(pid):
+    """The pool's oracle: the batches one after another, in order."""
+    return SimpleNamespace(map=map)
+
+
+@pytest.mark.parametrize("net", [
+    kpp_network((2, 3, 4)),
+    kpp_network((2, 3, 4, 2), direct_link=True),
+], ids=["kpp234", "kppD2342"])
+def test_pooled_batches_match_a_serial_map(net, monkeypatch):
+    # 700 trials are three batches, the last one short
+    sched = auto_schedule(net)
+    plan = small_plan(snr_db=(10, 20, 30), rates=(0.0, 0.5), trials=700)
+
+    def results():
+        pair = (whitening_check(net, sched, plan), backflow_check(net, sched, plan))
+        return [outage_sweep(net, sched, plan)] + [s for p in pair for s in (p.first, p.second)]
+
+    pool, used = montecarlo._pool(os.getpid()), []
+    monkeypatch.setattr(montecarlo, "_pool", lambda pid: used.append(pid) or pool)
+    pooled = results()
+    assert len(used) == 3
+    monkeypatch.setattr(montecarlo, "_pool", _serial_pool)
+    for a, b in zip(pooled, results(), strict=True):
+        assert a.estimates == b.estimates
+        assert a.slopes == b.slopes
+
+
+def test_more_workers_than_cores_keep_every_count(monkeypatch, analysis_builds):
+    # sixteen batches on eight workers that switch every microsecond share
+    # one program, whose analyses must be built once, before any batch runs
+    net = kpp_network((2, 3, 4, 2), direct_link=True)
+    sched = auto_schedule(net)
+    plan = small_plan(rates=(0.0, 0.5), trials=62, batch=4)
+    monkeypatch.setattr(montecarlo, "_pool", _serial_pool)
+    want = whitening_check(net, sched, plan)
+    interval = sys.getswitchinterval()
+    with ThreadPoolExecutor(8) as pool:
+        monkeypatch.setattr(montecarlo, "_pool", lambda pid: pool)
+        sys.setswitchinterval(1e-6)
+        try:
+            got = whitening_check(net, sched, plan)
+        finally:
+            sys.setswitchinterval(interval)
+    assert (got.first.estimates, got.second.estimates) == (
+        want.first.estimates, want.second.estimates)
+    assert _builds(analysis_builds) == {
+        "_structure": 0, "_masks": 0, "_classes": 2, "row_blocks": 2}
+
+
+def test_pooled_sweep_raises_the_first_batch_error_and_keeps_its_pool():
+    # each of the four batches fails on its own max|sigma| (2.06e+36,
+    # 2.37e+28, 1.03e+29, 1.58e+30); the pooled sweep must raise batch 0's
+    # error, as a serial pass does
+    net = kpp_network((4, 5))
+    with pytest.raises(PropagationError,
+                       match=r"not positive definite.*= 2\.06e\+36\); fewer cycles"):
+        outage_sweep(net, auto_schedule(net), SimPlan(trials=1024, seed=0))
+
+    # the pool still serves the next sweep, with the serial loop's counts
+    net = kpp_network((2, 3, 4))
+    res = outage_sweep(net, auto_schedule(net),
+                       SimPlan(snr_db=(10, 20, 30), rates=(0.0, 0.5), trials=1024, seed=0))
+    assert {k: e.outages for k, e in res.estimates.items()} == {
+        (10, 0.0): 337, (10, 0.5): 720, (20, 0.0): 7, (20, 0.5): 453,
+        (30, 0.0): 0, (30, 0.5): 158}
+
+
+def test_single_batch_sweeps_run_on_the_calling_thread(monkeypatch):
+    def no_pool(pid):
+        raise AssertionError("a one-batch sweep asked for the pool")
+
+    monkeypatch.setattr(montecarlo, "_pool", no_pool)
+    net = kpp_network((2, 3, 4))
+    sched = auto_schedule(net)
+    for trials in (1, 255, 256):
+        plan = small_plan(trials=trials)
+        outage_sweep(net, sched, plan)
+        whitening_check(net, sched, plan)
+        backflow_check(net, sched, plan)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_forked_child_sweeps_on_a_pool_of_its_own():
+    # the child inherits the parent's pool but none of its worker threads;
+    # a pool that outlived the fork would wait for them forever
+    net = kpp_network((2, 3, 4))
+    sched = auto_schedule(net)
+    want = outage_sweep(net, sched, small_plan()).estimates
+
+    def child():
+        sys.exit(0 if outage_sweep(net, sched, small_plan()).estimates == want else 1)
+
+    proc = multiprocessing.get_context("fork").Process(target=child)
+    proc.start()
+    proc.join(60)
+    if proc.is_alive():
+        proc.kill()
+        proc.join()
+        pytest.fail("the forked child's sweep did not finish")
+    assert proc.exitcode == 0
 
 
 def test_backflow_check_needs_backbone():
