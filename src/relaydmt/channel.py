@@ -113,7 +113,8 @@ class PropagationProgram:
     scatters them into stacked dense H and G. Compilation fixes each
     value's support, so ``kept_cols`` (symbols some kept row reaches) and
     ``row_support`` (the [h | g] columns of each kept row, in its value's
-    layout) are structural, not measured on a draw.
+    layout) are structural, not measured on a draw. A draw holds one
+    gain per edge, so every node must have a single antenna.
     """
 
     def __init__(self, net: Network, sched: Schedule, cycles: int):
@@ -121,6 +122,11 @@ class PropagationProgram:
             raise PropagationError(f"cycles must be an integer, got {cycles!r}")
         if cycles < 1:
             raise PropagationError("need at least one cycle")
+        multi = [n.id for n in net.nodes if n.antennas > 1]
+        if multi:
+            raise PropagationError(
+                f"nodes with more than one antenna cannot be propagated: "
+                f"{', '.join(multi)}")
         self.net = net
         self.sched = sched
         self.cycles = cycles
@@ -571,8 +577,7 @@ def _expected_thread(model: TransferModel):
     operation) the newest symbol rides the direct gain instead.
     """
     sched, net, fading = model.program.sched, model.program.net, model.fading
-    direct_always = (sched.direct_link_mode == "buffered"
-                     or sched.params.get("direct_every_slot"))
+    direct_always = sched.uses_direct_link
     sd = (net.source.id, net.sink.id)
     products = []
     if sched.backbone is not None:

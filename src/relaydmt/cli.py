@@ -21,7 +21,7 @@ import math
 import sys
 from fractions import Fraction
 
-from .dmt import curve_rows, family_dmt
+from .dmt import curve_rows, family_dmt, schedule_curve
 from .montecarlo import SimPlan, outage_sweep
 from .netgraph import classify, load_network, min_cut
 from .protocol import (auto_schedule, kppI_schedule, saf_schedule,
@@ -351,13 +351,16 @@ def cmd_compare(args, params):
         raise _Usage("--rates is required for compare")
     net, sched, plan, result = _sweep(args, params)
     fam = family_dmt(net)
+    # a schedule picked by --family-params is checked against its own curve
+    curve = (schedule_curve(sched) if {"saf_slots", "frames"} & params.keys()
+             else fam.achievable)
     print(f"family {fam.label}, {plan.trials} trials, "
           f"SNR {plan.snr_db[0]}-{plan.snr_db[-1]} dB")
     header = ["r", "analytic", "fitted", "gap", "uncertainty", "within"]
     print("  " + "  ".join(f"{h:>11s}" for h in header))
     rows = []
     for r in plan.rates:
-        analytic = float(fam.achievable(Fraction(str(r))))
+        analytic = float(curve(Fraction(str(r))))
         fit = result.slopes[r]
         if fit.slope is None:
             row = [r, analytic, None, None, None, "n/a"]

@@ -5,15 +5,19 @@ when the rate grows as r * log(SNR). Every curve here is piecewise
 linear, convex and non-increasing, stored as exact Fraction
 breakpoints, so compositions (parallel combining, rate scaling,
 pointwise sums and maxima) stay exact and curve equality is decidable.
+Parallel-path families have their curves read off the schedules that
+``auto_schedule`` builds; layered networks keep rules of their own.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .netgraph import (
-    Network, _Dinic, classify, edge_disjoint_paths, is_relay_bank, min_cut)
+    Network, PathSet, _Dinic, classify, edge_disjoint_paths, min_cut)
+from .protocol import Schedule, SchedulingError, _kpp_two, auto_schedule
 
 
 class CurveError(ValueError):
@@ -244,61 +248,38 @@ def _disjoint_partner_exists(paths):
     return flow.max_flow(s, t) == n
 
 
-def family_dmt(net: Network) -> FamilyAnalysis:
-    """Analytic achievable and cut-set curves for the supported
-    families; ``tight`` marks achievable == cutset.
-    """
-    cls = classify(net)
-    tag, K = cls.tag, cls.K
+def schedule_curve(sched: Schedule) -> DmtCurve:
+    """Achievable tradeoff of a schedule over node-disjoint paths: each
+    path landing m symbols per N-slot cycle is one fading product, the
+    line d = (1 - N r / m)+, and the paths combine in parallel; a direct
+    link used in every slot adds a line of diversity one."""
+    lines = [DmtCurve([(0, k), (k * m, 0)])
+             for m, k in Counter(sched.path_counts).items() if m]
+    curve = rate_scale(parallel(lines), sched.cycle_length)
+    if sched.uses_direct_link:
+        curve = pointwise_sum(curve, linear_curve(1))
+    return curve
 
+
+def family_dmt(net: Network) -> FamilyAnalysis:
+    """Analytic achievable and cut-set curves; ``tight`` marks
+    achievable == cutset. A bare link gets the MIMO curve of its
+    antennas and the layered families their own rules. Any other network
+    is read off the schedule ``auto_schedule`` builds: its
+    ``schedule_curve``, against the line of its path count plus the
+    direct link. No schedule, or a multi-antenna relay network, is an
+    ``UnsupportedFamilyError``."""
+    cls = classify(net)
     if not net.relays:
         # bare point-to-point link; antennas set the exponent
         curve = mimo_dmt(net.source.antennas, net.sink.antennas)
         return FamilyAnalysis(cls.label, curve, curve, True)
 
-    if is_relay_bank(net) and len(net.relays) <= 2:
-        # one or two relays straight off the source: the reference
-        # two-hop protocols, not the buffered direct-link operation
-        n = len(net.relays)
-        window = 2 if n == 1 else 5
-        relay_term = rate_scale(linear_curve(n), Fraction(window, window - 1))
-        ach = pointwise_sum(linear_curve(1), relay_term)
-        return FamilyAnalysis(
-            cls.label, ach, mimo_dmt(1, n + 1), False,
-            (f"{window}-slot half-duplex relaying; the listen/forward "
-             "split costs multiplexing against the cut-set line",))
+    if any(n.antennas > 1 for n in net.nodes):
+        raise UnsupportedFamilyError(
+            f"no analytic tradeoff for {cls.label} with multi-antenna nodes")
 
-    if tag == "regular" or (tag in ("KPP", "KPP(I)") and K >= 3):
-        curve = linear_curve(K)
-        notes = ()
-        if tag == "regular":
-            notes = ("achievability follows the K-path coloring: K symbols "
-                     "per K-slot cycle at any hop count, which only delays "
-                     "start-up",)
-        return FamilyAnalysis(cls.label, curve, curve, True, notes)
-
-    if tag == "KPP(D)":
-        if K < 3:
-            raise UnsupportedFamilyError(
-                "direct-link analysis needs at least three paths")
-        curve = linear_curve(K + 1)
-        return FamilyAnalysis(cls.label, curve, curve, True)
-
-    if tag == "KPP" and K == 2:
-        n1, n2 = sorted(cls.backbone.lengths)
-        if (n1 + n2) % 2 == 0:
-            curve = linear_curve(2)
-            return FamilyAnalysis(cls.label, curve, curve, True)
-        ach = DmtCurve([
-            (0, 2),
-            (Fraction(n2 - 1, 2 * n2), 1),
-            (Fraction(2 * n2 - 1, 2 * n2), 0),
-        ])
-        return FamilyAnalysis(
-            cls.label, ach, linear_curve(2), False,
-            ("odd total length caps the schedule rate below one",))
-
-    if tag == "fully-connected-layered":
+    if cls.tag == "fully-connected-layered":
         hops = _layer_hop_sizes(cls.layers)
         m_min = min(hops)
         i = hops.index(m_min)
@@ -307,7 +288,7 @@ def family_dmt(net: Network) -> FamilyAnalysis:
         return FamilyAnalysis(cls.label, ach, cut,
                               tight=(ach.points == cut.points))
 
-    if tag == "layered":
+    if cls.tag == "layered":
         paths = list(edge_disjoint_paths(net))
         cut = min_cut(net)
         if not _disjoint_partner_exists(paths):
@@ -317,7 +298,25 @@ def family_dmt(net: Network) -> FamilyAnalysis:
         curve = linear_curve(cut)
         return FamilyAnalysis(cls.label, curve, curve, True)
 
-    raise UnsupportedFamilyError(f"no analytic tradeoff for {cls.label}")
+    try:
+        if cls.tag == "KPP" and cls.K == 2:
+            # color_kpp_two wants the shorter of the two paths first
+            sched = _kpp_two(PathSet(tuple(sorted(cls.backbone, key=len))))
+        else:
+            sched = auto_schedule(net)
+    except SchedulingError as exc:
+        raise UnsupportedFamilyError(
+            f"no analytic tradeoff for {cls.label}: {exc}") from exc
+    ach = schedule_curve(sched)
+    cut = linear_curve(len(sched.path_counts) + sched.uses_direct_link)
+    tight = ach.points == cut.points
+    note = (f"read off the {sched.cycle_length}-slot schedule of "
+            f"{len(sched.path_counts)} paths")
+    if sched.uses_direct_link:
+        note += " and the direct link"
+    if not tight:
+        note += "; half-duplex relaying costs multiplexing"
+    return FamilyAnalysis(cls.label, ach, cut, tight, (note,))
 
 
 # ---------------------------------------------------------------------------

@@ -94,7 +94,8 @@ class Network:
     ``edges`` may contain repeated (tail, head) pairs; parallel edges
     arise from antenna expansion and are counted individually by the
     flow routines. A network is immutable after construction, so it
-    keeps its classification once :func:`classify` has found it.
+    keeps its classification once :func:`classify` has found it, and
+    its schedule once ``protocol.auto_schedule`` has built it.
     """
 
     def __init__(self, nodes, edges, name: str = ""):
@@ -119,6 +120,7 @@ class Network:
             self.in_neighbors[e.head].add(e.tail)
         self.edge_set = {e.pair for e in self.edges}
         self._classification = None
+        self._schedule = None
         if not self._reaches_sink():
             raise UnreachableSinkError("sink not reachable from source")
 

@@ -62,6 +62,13 @@ class Schedule:
     def rate(self) -> Fraction:
         return Fraction(self.symbols_per_cycle, self.cycle_length)
 
+    @property
+    def uses_direct_link(self) -> bool:
+        """True when the source sends to the sink in every slot: buffered
+        operation or the slotted two-hop patterns."""
+        return (self.direct_link_mode == "buffered"
+                or bool(self.params.get("direct_every_slot")))
+
     def slots_of(self, tail: str, head: str) -> frozenset:
         return self.activations.get((tail, head), frozenset())
 
@@ -305,7 +312,11 @@ def color_kpp_two(net: Network) -> Schedule:
     recedes one hop per wave. Rate (2*n2 - 1) / (2*n2), which is the
     maximum any orthogonal schedule can reach here.
     """
-    backbone = _backbone(net)
+    return _kpp_two(_backbone(net))
+
+
+def _kpp_two(backbone):
+    """``color_kpp_two`` on a backbone of two paths."""
     if len(backbone) != 2:
         raise SchedulingError("need exactly two paths")
     n1, n2 = backbone.lengths
@@ -827,14 +838,24 @@ def auto_schedule(net: Network) -> Schedule:
 
     A bank of one or two relays between source and sink, beside the
     direct link (``is_relay_bank``), gets the two-hop reference pattern:
-    NAF for one relay, SAF for two, as in ``family_dmt``. Otherwise
-    dispatch follows classify: regular and parallel-path networks get
-    the matching coloring, inter-path links go through the segmented
-    interference construction, a direct link switches on buffered
-    operation on top of the backbone schedule (a larger bank is KPP(D)
-    with two-edge paths, so it runs buffered), and layered networks use
-    the partner matching. Any other network is a ``SchedulingError``.
+    NAF for one relay, SAF for two. Otherwise dispatch follows
+    classify: regular and parallel-path networks get the matching
+    coloring, inter-path links go through the segmented interference
+    construction, a direct link switches on buffered operation on top
+    of the backbone schedule (a larger bank is KPP(D) with two-edge
+    paths, so it runs buffered), and layered networks use the partner
+    matching. Any other network is a ``SchedulingError``.
+
+    The schedule is built once per network and kept on it, as
+    ``classify`` keeps its classification; a failure is not kept. Every
+    caller shares the one object, so it must not be mutated.
     """
+    if net._schedule is None:
+        net._schedule = _auto_schedule(net)
+    return net._schedule
+
+
+def _auto_schedule(net):
     if not net.relays:
         return single_link_schedule(net)
     if is_relay_bank(net) and len(net.relays) <= 2:

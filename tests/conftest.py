@@ -1,25 +1,58 @@
 """Fixtures shared by the test modules."""
 
+from dataclasses import replace
+
 import pytest
 
-from relaydmt import PropagationProgram, netgraph
+from relaydmt import (
+    Network, PropagationProgram, kpp_network, layered_network, netgraph,
+    protocol, single_link_network)
 
 # the structure analyses a compiled program builds on first use
 PROGRAM_ANALYSES = ("_structure", "_masks", "_classes", "row_blocks")
 
 
-@pytest.fixture
-def classify_runs(monkeypatch):
-    """The networks ``netgraph._classify`` runs on, in call order."""
+def _record_runs(monkeypatch, module, name):
+    """Patch the one-network function ``module.name`` to record the
+    networks it runs on, in call order, and return that record."""
     runs = []
-    inner = netgraph._classify
+    inner = getattr(module, name)
 
     def counting(net):
         runs.append(net)
         return inner(net)
 
-    monkeypatch.setattr(netgraph, "_classify", counting)
+    monkeypatch.setattr(module, name, counting)
     return runs
+
+
+@pytest.fixture
+def classify_runs(monkeypatch):
+    """The networks ``netgraph._classify`` runs on, in call order."""
+    return _record_runs(monkeypatch, netgraph, "_classify")
+
+
+@pytest.fixture
+def schedule_runs(monkeypatch):
+    """The networks ``protocol._auto_schedule`` runs on, in call order."""
+    return _record_runs(monkeypatch, protocol, "_auto_schedule")
+
+
+@pytest.fixture
+def antenna_nets():
+    """Networks with multi-antenna nodes, which no sweep models: KPP(2,3)
+    with two-antenna source and sink, layered (1,2,2,1) with two-antenna
+    relays, and a 2x2 bare link."""
+    def widened(net, ids):
+        return Network([replace(n, antennas=2) if n.id in ids else n
+                        for n in net.nodes], net.edges, name=net.name)
+
+    layered = layered_network((1, 2, 2, 1))
+    return {
+        "kpp23": widened(kpp_network((2, 3)), {"s", "d"}),
+        "layered1221": widened(layered, {n.id for n in layered.relays}),
+        "bare22": widened(single_link_network(), {"s", "d"}),
+    }
 
 
 @pytest.fixture

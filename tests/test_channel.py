@@ -968,6 +968,14 @@ def test_slots_outside_the_cycle_and_empty_cycles_rejected():
         PropagationProgram(net, replace(sched, cycle_length=0), 2)
 
 
+def test_multi_antenna_nodes_rejected(antenna_nets):
+    # once each network was propagated with one gain per edge, as if
+    # every node had a single antenna
+    for name, net in antenna_nets.items():
+        with pytest.raises(PropagationError, match="more than one antenna"):
+            PropagationProgram(net, auto_schedule(net), 1)
+
+
 # ---------------------------------------------------------------------------
 # back-flow: reverse links must be invisible under clean colorings
 

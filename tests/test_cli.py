@@ -358,6 +358,31 @@ def test_compare_without_out_prints_only(nets, tmp_path, capsys):
     assert set(tmp_path.iterdir()) == before
 
 
+def test_compare_checks_the_schedule_it_swept(nets, tmp_path):
+    # once a 3-slot SAF(2) sweep was compared with the 5-slot curve
+    out = tmp_path / "cmp.csv"
+    flags = ["compare", "--network", nets["saf2"], "--out", str(out),
+             "--snr-min", "10", "--snr-max", "20", "--trials", "200",
+             "--rates", "0.5"]
+    for extra, analytic in (([], 1.25), (["--family-params", "saf_slots=3"], 1.0)):
+        assert main(flags + extra) == 0
+        assert float(read_csv(out)[1][1]) == analytic, extra
+
+
+@pytest.mark.parametrize("command,name", [
+    ("analyze", "kpp23"), ("analyze", "layered1221"), ("compare", "bare22")])
+def test_multi_antenna_networks_are_data_errors(tmp_path, capsys, antenna_nets,
+                                                command, name):
+    # once each exited 0 with a single-antenna curve or sweep
+    path = tmp_path / "net.json"
+    save_network(antenna_nets[name], path)
+    args = [command, "--network", str(path), "--out", str(tmp_path / "out")]
+    if command == "compare":
+        args += ["--trials", "100", "--rates", "0.5"]
+    assert main(args) == 3
+    assert "antenna" in capsys.readouterr().err
+
+
 def test_compare_requires_rates(nets, capsys):
     assert main(["compare", "--network", nets["single"]]) == 2
     assert "--rates" in capsys.readouterr().err

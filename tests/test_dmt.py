@@ -6,21 +6,28 @@ on the grid with integer slopes, which makes the greedy combiner and
 the grid search agree exactly at grid points.
 """
 
+import json
+import runpy
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import relaydmt
 from relaydmt import (
     CurveError,
     DmtCurve,
     Edge,
     Network,
     Node,
+    SchedulingError,
     UnsupportedFamilyError,
+    auto_schedule,
     classify,
     curve_rows,
     family_dmt,
+    is_relay_bank,
     kpp_network,
     layered_network,
     linear_curve,
@@ -34,6 +41,8 @@ from relaydmt import (
     product_parallel,
     rate_scale,
     saf_network,
+    saf_schedule,
+    schedule_curve,
     single_link_network,
     triangular_lower_bound,
     two_hop_network,
@@ -336,6 +345,131 @@ def test_family_layered_without_disjoint_partner():
     assert min_cut(net) == 1
     with pytest.raises(UnsupportedFamilyError, match="node-disjoint partner"):
         family_dmt(net)
+
+
+# ---------------------------------------------------------------------------
+# curves read off schedules, against the closed forms they replaced
+
+def two_hop_window_curve(n_relays):
+    """One or two relays beside the direct link: the relay term of the
+    2-slot NAF or 5-slot SAF window, whose relays forward in all but
+    one slot, on top of the direct link's line."""
+    window = 2 if n_relays == 1 else 5
+    relay_term = rate_scale(linear_curve(n_relays), Fraction(window, window - 1))
+    return pointwise_sum(linear_curve(1), relay_term)
+
+
+def kpp_two_curve(lengths):
+    """Two paths: the rate-1 line for an even total length; otherwise,
+    with n the longer path's edge count, breakpoints at rates
+    (n - 1) / 2n and (2n - 1) / 2n, the schedule's rate."""
+    n = max(lengths)
+    if sum(lengths) % 2 == 0:
+        return linear_curve(2)
+    return DmtCurve([(0, 2), (Fraction(n - 1, 2 * n), 1),
+                     (Fraction(2 * n - 1, 2 * n), 0)])
+
+
+@pytest.mark.parametrize("n_relays", [1, 2])
+def test_two_hop_banks_match_the_window_curve(n_relays):
+    fam = family_dmt(naf_network() if n_relays == 1 else saf_network(2))
+    assert fam.achievable.points == two_hop_window_curve(n_relays).points
+    assert fam.cutset.points == mimo_dmt(1, n_relays + 1).points
+    assert not fam.tight
+    assert any("half-duplex relaying" in note for note in fam.notes)
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_two_paths_match_the_closed_form_in_both_orders(n):
+    for lengths in ((2, n), (n, 2)):
+        fam = family_dmt(kpp_network(lengths))
+        assert fam.achievable.points == kpp_two_curve(lengths).points, lengths
+        assert fam.cutset.points == linear_curve(2).points
+        assert fam.tight == (n % 2 == 0)
+
+
+@pytest.mark.parametrize("K", range(3, 7))
+def test_k_paths_meet_the_k_line_and_a_direct_link_adds_one(K):
+    lengths = (2, 3, 4, 5, 6, 7)[:K]
+    for tag, net in [
+        ("KPP", kpp_network(lengths)),
+        ("KPP(I)", kpp_network(lengths, cross_links=[((1, 1), (2, 1))])),
+        (f"regular({K},2)", kpp_network((3,) * K)),
+        ("KPP(D)", kpp_network(lengths, direct_link=True)),
+        ("KPP(D)", saf_network(K)),
+    ]:
+        fam = family_dmt(net)
+        want = linear_curve(K + 1 if tag == "KPP(D)" else K)
+        assert fam.label == tag
+        assert fam.achievable.points == want.points and fam.tight, (tag, K)
+        assert fam.cutset.points == want.points
+
+
+def test_buffered_interference_network_gains_the_k_plus_one_line():
+    net = kpp_network((4, 4, 4), direct_link=True,
+                      cross_links=[((1, 2), (2, 2))], bidirectional=False)
+    fam = family_dmt(net)
+    assert fam.label == "KPP(I,D)"
+    assert fam.achievable.points == ((0, 4), (1, 0)) and fam.tight
+
+
+def test_back_flow_base_schedule_has_no_buffered_curve():
+    net = kpp_network((2, 4, 4), direct_link=True)
+    with pytest.raises(SchedulingError, match="downstream overlap"):
+        auto_schedule(net)
+    with pytest.raises(UnsupportedFamilyError, match="downstream overlap") as err:
+        family_dmt(net)
+    assert isinstance(err.value.__cause__, SchedulingError)
+
+
+def test_schedule_curve_of_slotted_banks():
+    net = saf_network(2)
+    # three slots: each relay forwards once; four: one relay twice
+    assert schedule_curve(saf_schedule(net, 3)).points == (
+        (0, 3), (Fraction(2, 3), Fraction(1, 3)), (1, 0))
+    assert schedule_curve(saf_schedule(net, 4)).points == (
+        (0, 3), (Fraction(1, 4), Fraction(7, 4)), (Fraction(3, 4), Fraction(1, 4)),
+        (1, 0))
+    assert schedule_curve(saf_schedule(net, 5)).points == two_hop_window_curve(2).points
+    # a relay left without a slot adds nothing
+    assert schedule_curve(saf_schedule(net, 2)).points == two_hop_window_curve(1).points
+
+
+def _corpus_networks():
+    """The distinct networks of the benchmark corpus at seeds 0-15."""
+    workloads = runpy.run_path(
+        str(Path(__file__).resolve().parent.parent / "bench" / "workloads.py"))
+    specs = {json.dumps(spec[:2]): spec
+             for seed in range(16) for spec in workloads["corpus_specs"](seed)}
+    return [workloads["build_network"](relaydmt, spec) for spec in specs.values()]
+
+
+def test_corpus_curves_exist_exactly_where_schedules_do():
+    checked = refused = longest_first = 0
+    for net in _corpus_networks():
+        cls = classify(net)
+        if cls.backbone is None and not is_relay_bank(net):
+            continue
+        try:
+            sched = auto_schedule(net)
+        except SchedulingError:
+            sched = None
+        try:
+            fam = family_dmt(net)
+        except UnsupportedFamilyError:
+            fam = None
+        if cls.tag == "KPP" and cls.K == 2 and cls.backbone.lengths != tuple(
+                sorted(cls.backbone.lengths)):
+            # color_kpp_two refuses a longer first path; the curve does not
+            assert sched is None and fam is not None
+            longest_first += 1
+        else:
+            assert (sched is None) == (fam is None), cls.label
+        if fam is not None:
+            assert fam.cutset.points == linear_curve(min_cut(net)).points
+        checked += 1
+        refused += fam is None
+    assert checked > 100 and refused > 0 and longest_first > 0
 
 
 # ---------------------------------------------------------------------------

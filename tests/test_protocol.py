@@ -429,6 +429,27 @@ def test_each_network_is_classified_once(name, classify_runs):
     assert classify_runs == [net]
 
 
+@pytest.mark.parametrize("name", CLASSIFIED_ONCE)
+def test_each_network_is_scheduled_once(name, schedule_runs):
+    net = CLASSIFIED_ONCE[name]()
+    classify(net)
+    with contextlib.suppress(SchedulingError):
+        validate_orthogonal(net, auto_schedule(net))
+    family_dmt(net)
+    assert schedule_runs == [net]
+
+
+def test_auto_schedule_keeps_successes_on_their_own_network(schedule_runs):
+    net, twin = kpp_network((2, 3, 4)), kpp_network((2, 3, 4))
+    assert auto_schedule(net) is auto_schedule(net)
+    assert auto_schedule(twin) is not auto_schedule(net)
+    refused = kpp_network((2, 4, 4), direct_link=True)
+    for _ in range(2):
+        with pytest.raises(SchedulingError, match="downstream overlap"):
+            auto_schedule(refused)
+    assert schedule_runs == [net, twin, refused, refused]
+
+
 def test_segmented_interference_schedule_for_four_paths():
     net = kpp_network((2, 2, 2, 3), cross_links=(((1, 1), (2, 1)),))
     assert classify(net).tag == "KPP(I)"
@@ -618,8 +639,8 @@ def test_auto_schedule_covers_the_zoo():
 ], ids=[*(f"saf{k}" for k in range(1, 6)), "no-sink-link", "no-source-link",
         "kppD234"])
 def test_two_hop_patterns_exactly_where_the_curve_is_two_hop(net):
-    # auto_schedule and family_dmt state the same bank rule: NAF/SAF and
-    # the two-hop reference curve for one or two relays, buffered
+    # family_dmt reads its curve off auto_schedule's bank rule: NAF/SAF
+    # and the two-hop reference curve for one or two relays, buffered
     # operation and the K+1 line for more, nothing for a relay that
     # misses its source or sink link
     try:
@@ -637,6 +658,17 @@ def test_two_hop_patterns_exactly_where_the_curve_is_two_hop(net):
         assert two_hop == (len(net.relays) <= 2)
     else:
         assert classify(net).tag == "other"
+
+
+def test_direct_link_in_every_slot_is_one_schedule_property():
+    assert naf_schedule(naf_network()).uses_direct_link
+    slotted = saf_schedule(saf_network(2), 3)
+    assert slotted.uses_direct_link
+    assert schedule_from_dict(schedule_to_dict(slotted)).uses_direct_link
+    assert auto_schedule(kpp_network((2, 3, 4), direct_link=True)).uses_direct_link
+    plain = auto_schedule(kpp_network((2, 3, 4)))
+    assert not plain.uses_direct_link
+    assert "uses_direct_link" not in schedule_to_dict(plain)
 
 
 def test_auto_schedule_layered_dispatch():
