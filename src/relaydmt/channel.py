@@ -6,17 +6,24 @@ has covariance sigma = I + G G^H and G collects the amplified relay
 noise. Symbols and relay noises are tracked as separate columns through
 the same register arithmetic the real network would apply, so H, G and
 sigma come out of one pass with no formula specific to any topology.
-Compilation walks that arithmetic once over structural supports (the
-columns each register value can reach), and every run then works on
-those supports alone. A compiled ``PropagationProgram`` also owns four
-analyses of its structure, each built on first use and kept: the shape
-of H from the kept rows' supports, which no draw or threshold moves
-(read by ``structure_certificate`` and ``extract_blocks``); an edge
-bitmask per support entry, so ``extract_blocks`` probes only edges that
-reach both a thread and a leakage entry; the expression classes, values
-that repeat the same arithmetic on the same operands as one cycle's rows
+Compilation walks that arithmetic over structural supports (the columns
+each register value can reach), and every run then works on those
+supports alone. A slow-fading schedule repeats one slotted cycle, so
+the walk stops once the relays' state repeats, shifted by one cycle's
+values, symbols and noises, and the later cycles are derived from the
+walked prefix; a program whose supports keep growing is walked to the
+end. A compiled ``PropagationProgram`` also owns five analyses of its
+structure, each built on first use and kept: the full step list of the
+window, which ``run`` and ``row_values`` replay; the shape of H from
+the kept rows' supports, which no draw or threshold moves (read by
+``structure_certificate`` and ``extract_blocks``); an edge bitmask per
+support entry, so ``extract_blocks`` probes only edges that reach both
+a thread and a leakage entry; the expression classes, values that
+repeat the same arithmetic on the same operands as one cycle's rows
 repeat in the next (``distinct_values`` replays each once); and
 ``row_blocks``, the independent row blocks the sweeps score from them.
+The sweeps read only the last two, so they never build the repeated
+cycles' steps.
 
 Reception is slot driven: a node listens in exactly the slots where
 one of its scheduled incoming edges is active, and then hears every
@@ -107,10 +114,12 @@ class PropagationProgram:
 
     Compiling once and running over many gain draws is what makes the
     outage sweeps affordable. The constructor validates the schedule
-    against the network and compiles in one walk over the window. Both
-    outputs come from one replay of a (n_edges, batch) gain array:
-    ``row_values`` gives the kept rows' compact values, and ``run``
-    scatters them into stacked dense H and G. Compilation fixes each
+    against the network and compiles in one walk, which stops once the
+    relays' state repeats a cycle on (see ``_compile``). Both outputs
+    come from one replay of a (n_edges, batch) gain array: ``row_values``
+    gives the kept rows' compact values, and ``run`` scatters them into
+    stacked dense H and G; both replay ``_steps``, the window's full step
+    list, which is built on their first use. Compilation fixes each
     value's support, so ``kept_cols`` (symbols some kept row reaches) and
     ``row_support`` (the [h | g] columns of each kept row, in its value's
     layout) are structural, not measured on a draw. A draw holds one
@@ -163,7 +172,7 @@ class PropagationProgram:
         self._compile(tx, rx)
 
     def _compile(self, tx, rx):
-        """Walk the window once, over structural supports.
+        """Walk the window over structural supports until it repeats.
 
         Who talks and who listens depends only on the cycle phase, so each
         phase's talkers, listeners and each listener's talking
@@ -179,18 +188,51 @@ class PropagationProgram:
         far is appended to it whole; only a term that overlaps it makes
         a column -> position dict, which places the overlap and appends
         the new columns. Relays store their value after the slot and the
-        sink's becomes a row. Registers and FIFOs are resolved here, so
-        ``run`` only replays the steps kept rows depend on.
+        sink's becomes a row. Each value also gets its expression class
+        (see ``_classes``) from its step key and its sources' classes.
+
+        The walk stops early once the relays' state repeats. At each
+        cycle boundary t = D + kN, k >= 1 (D = ``keep_from``), it compares
+        every register and FIFO slot, empty ones included, with the state
+        at t - N: the state repeats when each held value is the earlier
+        one's id plus dv (the values made per cycle), has its support
+        moved by ds (the symbols injected per cycle) on symbol columns and
+        by dn (the relay noises per cycle) on noise columns, and has its
+        class. Then every later slot is the slot N earlier, shifted. The
+        step of slot t reads only the phase t mod N, the supports and
+        classes of the values it pulls, and the next symbol and noise
+        columns; each of these is the slot t - N's, shifted (supports
+        by an injective column map that keeps order and overlaps, so
+        layouts and term positions are equal). So slot t makes the values
+        of slot t - N shifted, classes included, and leaves the state at
+        t + 1 the shift of the state at t - N + 1; by induction every
+        later slot follows. The window's later cycles are therefore the
+        reference cycle [t - N, t) shifted k times, and everything below
+        is derived from the walked prefix and that period with no walk
+        over them. A program whose state never repeats (growing
+        supports, as on KPP(4,5)) is walked to the end.
+
+        Liveness runs over every value id, reading a repeated value's
+        sources off its reference step with the offset k * dv. Since the
+        reference cycle starts at or after D, its rows are kept, and a
+        live value in a repeated cycle has its reference copy live (its
+        chain to a kept row, shifted back, ends at a kept row too): every
+        class's first live copy lies in the walked prefix. The full step
+        list, which only ``run``, ``row_values`` and ``_masks`` read, is
+        built on first use (``_steps``).
         """
-        net, N = self.net, self.sched.cycle_length
+        net, N, D = self.net, self.sched.cycle_length, self.keep_from
         sid, did = net.source.id, net.sink.id
-        n_symbols = sum(t % N in tx[sid] for t in range(self.total_slots))
+        whole, part = divmod(self.total_slots, N)
+        n_symbols = whole * len(tx[sid]) + sum(s < part for s in tx[sid])
         injections = []           # (slot, symbol index)
         slots = []                # absolute slot per sink row, in order
         regs = {}
         queues = {u: deque([None] * b) for u, b in self.buffered.items()}
-        # per value, in parallel: its support (its layout), terms, adds noise
-        sups, terms, noises = [], [], []
+        # per value, in parallel: its support (its layout), terms, adds
+        # noise, class; a class is numbered in order of its first value
+        sups, terms, noises, cls = [], [], [], []
+        keys = {}                 # step key -> class
         row_values = []           # per row: its value
 
         # per phase: whether the source talks, the relays that talk, the
@@ -200,46 +242,83 @@ class PropagationProgram:
         # it every layout and summation order, does not depend on set order
         in_edges = {u: [(n.id, self.edge_index[(n.id, u)]) for n in net.nodes
                         if n.id in ins] for u, ins in net.in_neighbors.items()}
+        talk, feeds = [set() for _ in range(N)], [{} for _ in range(N)]
+        for u in tx:
+            for s in tx[u]:
+                talk[s].add(u)
+        for u in in_edges:
+            for s in rx[u]:
+                feeds[s][u] = []
+        for u, ins in in_edges.items():
+            for w, edge in ins:
+                for s in tx[w] & rx[u]:
+                    feeds[s][u].append((w, edge))
         phases = []
-        for s in range(N):
-            talkers = {u for u in tx if s in tx[u]}
-            feeds = {u: [(w, edge) for w, edge in in_edges[u] if w in talkers]
-                     for u in in_edges if s in rx[u]}
-            phases.append((sid in talkers, list(talkers - {sid}),
-                           [(u, f) for u, f in feeds.items() if u != did], feeds.get(did)))
+        for talkers, heard in zip(talk, feeds):
+            sink = heard.pop(did, None)
+            phases.append((sid in talkers, list(talkers - {sid}), list(heard.items()), sink))
 
         def combine(feeds, pulled, noise):
             layout, out, index = (), [], None   # index: column -> position
+            key = [0, noise is not None]        # size, noise flag, then per term
             for w, edge in feeds:
                 if w == sid:    # the symbol injected this slot
-                    src, sup = None, (len(injections) - 1,)
+                    src, src_cls, sup = None, None, (len(injections) - 1,)
                 else:
                     src = pulled[w]
                     if src is None:
                         continue
-                    sup = sups[src]
+                    src_cls, sup = cls[src], sups[src]
                 n = len(layout)
                 if index is None and (not n or set(layout).isdisjoint(sup)):
                     layout += sup
                     where = slice(n, n + len(sup))
+                    key += src_cls, edge, n, n + len(sup)
                 else:
                     if index is None:
                         index = dict(zip(layout, range(n)))
                     pos = [index.setdefault(c, len(index)) for c in sup]
-                    contiguous = pos == list(range(pos[0], pos[0] + len(pos)))
-                    where = slice(pos[0], pos[-1] + 1) if contiguous else np.array(pos)
+                    if pos == list(range(pos[0], pos[0] + len(pos))):
+                        where = slice(pos[0], pos[-1] + 1)
+                        key += src_cls, edge, pos[0], pos[-1] + 1
+                    else:
+                        where = np.array(pos)
+                        key += src_cls, edge, where.tobytes()
                 out.append((src, edge, where))
             if index is not None:
                 layout = tuple(index)
             if noise is not None:
                 layout += (noise,)
+            key[0] = len(layout)
             sups.append(layout)
             terms.append(out)
             noises.append(noise is not None)
+            cls.append(keys.setdefault(tuple(key), len(keys)))
             return len(sups) - 1
 
+        def shifted(a, b):
+            """Whether held value b is held value a one cycle on."""
+            if a is None or b is None:
+                return a is b
+            return (b - a == dv and cls[a] == cls[b]
+                    and sups[b] == tuple(c + ds if c < n_symbols else c + dn
+                                         for c in sups[a]))
+
         noise_col = n_symbols     # the next relay noise column
+        walked, mark = self.total_slots, None
         for t in range(self.total_slots):
+            if t >= D and (t - D) % N == 0:
+                if mark is not None:
+                    nv, ni, nc, nr, old_regs, old_queues = mark
+                    dv, ds, dn = len(sups) - nv, len(injections) - ni, noise_col - nc
+                    if (all(shifted(old_regs.get(u), v) for u, v in regs.items())
+                            and all(len(q) == len(old_queues[u])
+                                    and all(map(shifted, old_queues[u], q))
+                                    for u, q in queues.items())):
+                        walked = t
+                        break
+                mark = (len(sups), len(injections), noise_col, len(slots), dict(regs),
+                        {u: tuple(q) for u, q in queues.items()})
             injects, pullers, listeners, sink = phases[t % N]
             if injects:
                 injections.append((t, len(injections)))
@@ -259,44 +338,91 @@ class PropagationProgram:
                     queues[u].append(v)
                 else:
                     regs[u] = v
-        self.n_symbols, self.n_noise = n_symbols, noise_col - n_symbols
-        self.injections, self.rows = injections, slots
-        self.kept_rows = [i for i, t in enumerate(slots) if t >= self.keep_from]
+        # the reference cycle starts with the values, symbols and rows
+        # counted at its mark, and repeats k = 1..reps times past the walk
+        reps = (self.total_slots - walked) // N
+        if not reps:
+            dv = ds = dn = 0
+            nv, ni, nr = len(sups), len(injections), len(slots)
+        self._walked_slots = walked
+        self._period = (nv, len(sups), dv)
 
-        # keep only the steps a kept row depends on, and free each value
-        # after its last reader
-        rows = [row_values[i] for i in self.kept_rows]
-        live = bytearray(len(sups))
-        for v in rows:
+        def repeat(xs, step):
+            return [x + k * step for k in range(1, reps + 1) for x in xs]
+
+        self.n_symbols = n_symbols
+        self.n_noise = noise_col - n_symbols + reps * dn
+        self.injections = injections + [(t + k * N, j + k * ds) for k in range(1, reps + 1)
+                                        for t, j in injections[ni:]]
+        self.rows = slots + repeat(slots[nr:], N)
+        self.kept_rows = [i for i, t in enumerate(self.rows) if t >= D]
+        walked_rows = [row_values[i] for i in self.kept_rows if i < len(row_values)]
+        self._row_values = walked_rows + repeat(row_values[nr:], dv)
+
+        # keep only the values a kept row depends on; a repeated value
+        # reads its reference step's sources, k * dv on
+        live = bytearray(len(sups) + reps * dv)
+        for v in self._row_values:
             live[v] = 1
-        for v in reversed(range(len(sups))):
-            if live[v]:
-                for src, _, _ in terms[v]:
-                    if src is not None:
-                        live[src] = 1
-        live = [v for v, flag in enumerate(live) if flag]
-        last = {src: v for v in live for src, _, _ in terms[v] if src is not None}
-        frees = {}
-        for src, v in last.items():
-            frees.setdefault(v, []).append(src)
-        self._steps = [(v, len(sups[v]), terms[v], noises[v], frees.get(v, ()))
-                       for v in live]
-        self._row_values = rows
+        for k in reversed(range(reps + 1)):
+            off = k * dv
+            for v in reversed(range(nv if k else 0, len(sups))):
+                if live[v + off]:
+                    for src, _, _ in terms[v]:
+                        if src is not None:
+                            live[src + off] = 1
+        self._live = live
+        self._walk = ([len(s) for s in sups], terms, noises, cls)
 
         # per kept row, the columns of [h | g] it reaches, in layout order:
-        # every kept row's support mapped through one column map
-        sizes = [len(sups[v]) for v in rows]
-        sup = np.fromiter(chain.from_iterable(sups[v] for v in rows),
-                          dtype=np.intp, count=sum(sizes))
+        # the walked rows' layouts, then the reference cycle's shifted by
+        # k * ds on symbol columns and k * dn on noise columns, all mapped
+        # through one column map
+        ref = [sups[v] for v in row_values[nr:]]
+        sizes = [len(sups[v]) for v in walked_rows] + [len(s) for s in ref] * reps
+        sup = np.fromiter(chain.from_iterable(sups[v] for v in walked_rows),
+                          dtype=np.intp)
+        if reps:
+            ref = np.fromiter(chain.from_iterable(ref), dtype=np.intp)
+            step = np.where(ref < n_symbols, ds, dn)
+            sup = np.concatenate([sup, (ref + np.arange(1, reps + 1)[:, None] * step).ravel()])
         kept = np.zeros(self.n_symbols + self.n_noise, dtype=bool)
         kept[sup] = True                  # symbols some kept row reaches
         kept[self.n_symbols:] = True      # and every noise column
         self.kept_cols = np.flatnonzero(kept[:self.n_symbols]).tolist()
         self._width = int(kept.sum())
         sup = (np.cumsum(kept) - 1)[sup]
-        ends = list(accumulate(sizes))
-        self.row_support = [sup[a:b] for a, b in zip([0] + ends, ends)]
-        self._scatter = sup + np.repeat(np.arange(len(rows)) * self._width, sizes)
+        self._scatter = sup + np.repeat(np.arange(len(sizes)) * self._width, sizes)
+
+    @cached_property
+    def row_support(self):
+        """Per kept row, the [h | g] columns it reaches in its value's
+        layout, read back off ``_scatter``."""
+        row, col = np.divmod(self._scatter, self._width or 1)
+        ends = np.cumsum(np.bincount(row, minlength=len(self.kept_rows))).tolist()
+        return [col[a:b] for a, b in zip([0] + ends, ends)]
+
+    @cached_property
+    def _steps(self):
+        """The live steps of the whole window, in value order, each freeing
+        the values it reads last: (value, size, terms, noise, frees). A
+        repeated value's step is its reference step, with sources moved
+        k * dv on. ``run``, ``row_values`` and ``_masks`` replay them; no
+        sweep does."""
+        sizes, terms, noises, _ = self._walk
+        start, end, dv = self._period
+        steps = []
+        for v, flag in enumerate(self._live):
+            if not flag:
+                continue
+            if v < end:
+                steps.append((v, sizes[v], terms[v], noises[v]))
+                continue
+            k, i = divmod(v - start, dv)
+            i, off = start + i, k * dv
+            steps.append((v, sizes[i], [(src if src is None else src + off, gidx, where)
+                                        for src, gidx, where in terms[i]], noises[i]))
+        return _with_frees(steps)
 
     def row_values(self, gains):
         """Replay the program; gains has shape (n_edges, batch).
@@ -365,12 +491,16 @@ class PropagationProgram:
         same rule: both then run the same float operations on the same
         operands. A slow-fading window repeats most values from cycle to
         cycle, shifted in columns but not in layout, so this one rule covers
-        periodic and growing programs alike. One walk over the steps names
-        each value's class after its first copy. A step key is one flat
-        tuple: size, noise flag, then per term the class of its source,
-        its edge and either the start and stop of its slice or the bytes
-        of its position array. The third item of a term is an int for a
-        slice and bytes for an array, so no two term lists share a key.
+        periodic and growing programs alike. A step key is one flat tuple:
+        size, noise flag, then per term the class of its source, its edge
+        and either the start and stop of its slice or the bytes of its
+        position array. The third item of a term is an int for a slice and
+        bytes for an array, so no two term lists share a key.
+
+        The compile numbers each walked value's class as it goes, and a
+        repeated value has its reference value's class. Each class is named
+        after its first live copy, which the compile shows lies in the
+        walked prefix, so no repeated cycle is visited here.
 
         Returns (steps, rows, first): the first copies' steps, with sources
         renamed to their classes and frees recomputed; the distinct row
@@ -378,40 +508,36 @@ class PropagationProgram:
         position in ``distinct_values`` where its first copy's entries
         start.
 
-        Only the sweeps replay classes; ``run``, ``row_values`` and
-        ``extract_blocks`` replay every step. Classes found in the compile
-        ran a prototype's ``structure`` benchmark 225 -> 284 networks/s
-        (medians of three alternating 36-s runs), but ``bench/run.py`` keeps
-        every round's outputs, so its peak RSS read 68.6 -> 74.1 MB (+8.1%;
-        one pair +12.5%, past the 10% bound). That move waits until
-        ``run_rounds`` drops each round's outputs once checked.
+        Only the sweeps replay classes; ``run`` and ``row_values`` (and so
+        ``propagate`` and ``extract_blocks``) replay every step. Replaying
+        classes there too ran a prototype's ``structure`` benchmark
+        225 -> 284 networks/s (medians of three alternating 36-s runs), but
+        ``bench/run.py`` keeps every round's outputs, so its peak RSS read
+        68.6 -> 74.1 MB (+8.1%; one pair +12.5%, past the 10% bound). That
+        move waits until ``run_rounds`` drops each round's outputs once
+        checked.
         """
-        cls, seen, kept = {None: None}, {}, []    # a symbol term's source stays None
-        for v, size, terms, noise, _ in self._steps:
-            key = [size, noise]
-            for src, gidx, where in terms:
-                if isinstance(where, slice):
-                    key += cls[src], gidx, where.start, where.stop
-                else:
-                    key += cls[src], gidx, where.tobytes()
-            c = cls[v] = seen.setdefault(tuple(key), v)
-            if c == v:
-                kept.append((v, size, [(cls[src], gidx, where) for src, gidx, where in terms],
-                             noise))
-        last = {src: v for v, _, terms, _ in kept for src, _, _ in terms if src is not None}
-        frees = {}
-        for src, v in last.items():
-            frees.setdefault(v, []).append(src)
-        rows = list(dict.fromkeys(cls[v] for v in self._row_values))
-        size = {v: s for v, s, *_ in kept}
-        start = dict(zip(rows, np.cumsum([0] + [size[v] for v in rows]).tolist()))
-        return ([(*step, frees.get(step[0], ())) for step in kept], rows,
-                [start[cls[v]] for v in self._row_values])
+        sizes, terms, noises, cls = self._walk
+        start, end, dv = self._period
+        live = self._live
+        name = {}                 # class -> its first live copy
+        for v in range(end):
+            if live[v]:
+                name.setdefault(cls[v], v)
+        kept = [(v, sizes[v], [(None if src is None else name[cls[src]], gidx, where)
+                               for src, gidx, where in terms[v]], noises[v])
+                for v in name.values()]
+        row_cls = [name[cls[v if v < end else start + (v - start) % dv]]
+                   for v in self._row_values]
+        rows = list(dict.fromkeys(row_cls))
+        at = dict(zip(rows, accumulate([0] + [sizes[v] for v in rows])))
+        return _with_frees(kept), rows, [at[c] for c in row_cls]
 
     def distinct_values(self, gains):
         """Each expression class replayed once on a (n_edges, batch) gain
-        array; ``row_blocks`` gathers every kept row's values from it."""
-        return _replay(*self._classes[:2], gains)
+        array, then one zero row; ``row_blocks`` gathers every kept row's
+        values from it, and each structural zero from the zero row."""
+        return _replay(*self._classes[:2], gains, zero_rows=1)
 
     @cached_property
     def row_blocks(self):
@@ -421,7 +547,8 @@ class PropagationProgram:
         permutation H, G and sigma are block diagonal and the whitened
         spectrum is the union of the blocks' spectra. Every row's gather
         indices point at its first copy in ``distinct_values``; a
-        structural zero points at -1, the zero row the block scorer appends.
+        structural zero points at -1, the zero row ``distinct_values`` ends
+        with.
         Blocks of one shape whose H and G indices are byte-equal gather
         bit-identical values on every draw, so they form one class.
 
@@ -436,13 +563,12 @@ class PropagationProgram:
         columns of its m blocks, the (k, r, nh) and (k, r, ng) gather
         indices of its k classes, and the (m,) class of each block.
         """
-        sizes = np.array([cols.size for cols in self.row_support], dtype=np.intp)
-        n_rows, width, kept = len(sizes), self._width, len(self.kept_cols)
+        n_rows, width, kept = len(self.kept_rows), self._width, len(self.kept_cols)
         if not n_rows:
             return []
         # one (row, column, value index) triple per support entry
-        row = np.repeat(np.arange(n_rows), sizes)
-        col = np.concatenate(self.row_support)
+        row, col = np.divmod(self._scatter, width or 1)
+        sizes = np.bincount(row, minlength=n_rows)
         val = np.arange(col.size) + np.repeat(
             np.asarray(self._classes[2]) - np.cumsum(sizes) + sizes, sizes)
 
@@ -505,9 +631,20 @@ class PropagationProgram:
         return out
 
 
-def _replay(steps, rows, gains):
+def _with_frees(steps):
+    """Each (value, size, terms, noise) step with, appended, the values it
+    is the last step to read, which the replay then frees."""
+    last = {src: v for v, _, terms, _ in steps for src, _, _ in terms if src is not None}
+    frees = {}
+    for src, v in last.items():
+        frees.setdefault(v, []).append(src)
+    return [(*step, frees.get(step[0], ())) for step in steps]
+
+
+def _replay(steps, rows, gains, zero_rows=0):
     """Run compiled steps on a (n_edges, batch) gain array and return the
-    values named in ``rows``, concatenated in that order."""
+    values named in ``rows``, concatenated in that order, then
+    ``zero_rows`` rows of zeros."""
     batch = gains.shape[1]
     vals = {}
     for v, size, terms, noise, frees in steps:
@@ -523,7 +660,7 @@ def _replay(steps, rows, gains):
         for u in frees:
             del vals[u]
     return np.concatenate([vals[v] for v in rows]
-                          + [np.zeros((0, batch), dtype=complex)])
+                          + [np.zeros((zero_rows, batch), dtype=complex)])
 
 
 def propagate(net: Network, sched: Schedule, fading: FadingRealization,

@@ -34,6 +34,19 @@ def _frac(x) -> Fraction:
     return Fraction(x)
 
 
+def _merged(pts):
+    """The breakpoints with collinear interior points merged, as a tuple."""
+    kept = pts[:1]
+    for i in range(1, len(pts) - 1):
+        s_prev = (pts[i][1] - kept[-1][1]) / (pts[i][0] - kept[-1][0])
+        s_next = (pts[i + 1][1] - pts[i][1]) / (pts[i + 1][0] - pts[i][0])
+        if s_prev != s_next:
+            kept.append(pts[i])
+    if len(pts) > 1:
+        kept.append(pts[-1])
+    return tuple(kept)
+
+
 @dataclass(frozen=True)
 class DmtCurve:
     """Convex non-increasing piecewise-linear curve.
@@ -59,16 +72,16 @@ class DmtCurve:
             raise CurveError("curve must be non-increasing")
         if any(b < a for a, b in zip(slopes, slopes[1:])):
             raise CurveError("curve must be convex")
-        # merge collinear interior points
-        kept = pts[:1]
-        for i in range(1, len(pts) - 1):
-            s_prev = (pts[i][1] - kept[-1][1]) / (pts[i][0] - kept[-1][0])
-            s_next = (pts[i + 1][1] - pts[i][1]) / (pts[i + 1][0] - pts[i][0])
-            if s_prev != s_next:
-                kept.append(pts[i])
-        if len(pts) > 1:
-            kept.append(pts[-1])
-        object.__setattr__(self, "points", tuple(kept))
+        object.__setattr__(self, "points", _merged(pts))
+
+    @classmethod
+    def _built(cls, pts):
+        """A curve the calculus built from checked curves: ``pts`` are
+        already exact, sorted, distinct in r, non-negative, non-increasing
+        and convex, so only collinear interior points are merged."""
+        curve = object.__new__(cls)
+        object.__setattr__(curve, "points", _merged(pts))
+        return curve
 
     def __call__(self, r) -> Fraction:
         r = Fraction(r)
@@ -107,7 +120,7 @@ def linear_curve(diversity, rmax=1) -> DmtCurve:
     diversity, rmax = Fraction(diversity), Fraction(rmax)
     if diversity <= 0 or rmax <= 0:
         raise CurveError("need positive diversity and rate range")
-    return DmtCurve([(0, diversity), (rmax, 0)])
+    return DmtCurve._built([(Fraction(0), diversity), (rmax, Fraction(0))])
 
 
 def mimo_dmt(m, n) -> DmtCurve:
@@ -140,7 +153,7 @@ def parallel(curves) -> DmtCurve:
             break
         r, d = r + width, d + width * slope
         pts.append((r, d))
-    return DmtCurve(pts)
+    return DmtCurve._built(pts)
 
 
 def parallel_repeated(curves, fractions, total_symbols) -> DmtCurve:
@@ -179,7 +192,7 @@ def rate_scale(curve: DmtCurve, factor) -> DmtCurve:
     factor = Fraction(factor)
     if factor <= 0:
         raise CurveError("need a positive factor")
-    return DmtCurve([(r / factor, d) for r, d in curve.points])
+    return DmtCurve._built([(r / factor, d) for r, d in curve.points])
 
 
 def _grid(c1: DmtCurve, c2: DmtCurve):
@@ -197,7 +210,7 @@ def _grid(c1: DmtCurve, c2: DmtCurve):
 
 def pointwise_sum(c1: DmtCurve, c2: DmtCurve) -> DmtCurve:
     rs = sorted({r for r, _ in c1.points} | {r for r, _ in c2.points})
-    return DmtCurve([(r, c1(r) + c2(r)) for r in rs])
+    return DmtCurve._built([(r, c1(r) + c2(r)) for r in rs])
 
 
 def pointwise_max(c1: DmtCurve, c2: DmtCurve) -> DmtCurve:
@@ -253,8 +266,7 @@ def schedule_curve(sched: Schedule) -> DmtCurve:
     path landing m symbols per N-slot cycle is one fading product, the
     line d = (1 - N r / m)+, and the paths combine in parallel; a direct
     link used in every slot adds a line of diversity one."""
-    lines = [DmtCurve([(0, k), (k * m, 0)])
-             for m, k in Counter(sched.path_counts).items() if m]
+    lines = [linear_curve(k, k * m) for m, k in Counter(sched.path_counts).items() if m]
     curve = rate_scale(parallel(lines), sched.cycle_length)
     if sched.uses_direct_link:
         curve = pointwise_sum(curve, linear_curve(1))

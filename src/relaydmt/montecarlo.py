@@ -11,7 +11,9 @@ child of the plan's seed, so the batches are independent units of work:
 a sweep of more than one batch scores them on a thread pool sized to
 the CPUs the process may run on (numpy's linear algebra releases the
 GIL) and sums their integer outage counts, which gives the counts of a
-serial pass exactly.
+serial pass exactly. A sweep whose blocks all have one row scores in
+closed form, with little for numpy to do outside the GIL, so its
+batches run on the calling thread.
 """
 
 from __future__ import annotations
@@ -196,17 +198,19 @@ def _thresholds(plan, sched, n_rows):
 def _block_sv2(vals, blocks, whiten, cycles=None):
     """Squared singular values of the (whitened) channel, block by block.
 
-    ``vals`` are a program's ``distinct_values`` and ``blocks`` its
-    ``row_blocks``; each shape group's H and G come out of them with one
-    take each, for one block per class. Single-row blocks are closed
-    form, |h|^2 / (1 + |g|^2); larger ones build their block of
-    sigma = I + G G^H and go through ``_whitened_sv2`` (identity when not
-    whitening). The class results are expanded to every block through
-    the inverse index, so each column, and the order of the columns,
-    is what scoring every block would give. ``cycles``, the window's
-    cycle count, only shapes ``_whitened_sv2``'s error. Returns (batch, n).
+    ``vals`` are a program's ``distinct_values``, whose last row is the
+    zero that structural zeros read, and ``blocks`` its ``row_blocks``;
+    each shape group's H and G come out of them with one take each, for
+    one block per class. Single-row blocks are closed form,
+    |h|^2 / (1 + |g|^2); larger ones build their block of
+    sigma = I + G G^H, adding the identity to its diagonal in place, and
+    go through ``_whitened_sv2`` (identity when not whitening) with G's
+    gather already dropped. The class results are expanded to every
+    block through the inverse index, so each column, and the order of
+    the columns, is what scoring every block would give. ``cycles``, the
+    window's cycle count, only shapes ``_whitened_sv2``'s error. Returns
+    (batch, n).
     """
-    vals = np.concatenate([vals, np.zeros((1, vals.shape[1]))])
     out = [np.zeros((vals.shape[1], 0))]
     for rows, _, _, h_idx, g_idx, inverse in blocks:
         # (batch, k, r, nh) with the batch fastest in memory, the layout of
@@ -218,8 +222,11 @@ def _block_sv2(vals, blocks, whiten, cycles=None):
             if whiten:
                 sv2 = sv2 / (1.0 + (gb.real**2 + gb.imag**2).sum(axis=(2, 3)))
         else:
-            sigma = (gb @ np.conj(np.swapaxes(gb, -1, -2)) + np.eye(rows.shape[1])
-                     if whiten else None)
+            sigma = None
+            if whiten:
+                sigma = gb @ np.conj(np.swapaxes(gb, -1, -2))
+                np.einsum("...ii->...i", sigma)[...] += 1.0     # a view of the diagonal
+            del gb
             sv2 = _whitened_sv2(hb, sigma, cycles)
         out.append(sv2[:, inverse].reshape(len(sv2), -1))
     return np.concatenate(out, axis=1)
@@ -274,10 +281,13 @@ def _sweep_arms(sched: Schedule, plan: SimPlan, arms) -> list:
     ``distinct_values`` and ``row_blocks``; no dense H or G is built.
 
     Each batch, drawn from its own child of the plan's seed, is one unit
-    of work (``_score_batch``). One batch runs on the calling thread;
-    more run on the process's thread pool, and their integer counts are
-    summed, so every estimate is the serial pass's. Every program's row
-    blocks and classes are built here first, since from Python 3.12 a
+    of work (``_score_batch``). One batch runs on the calling thread, and
+    so do the batches of a sweep whose every block has one row: those
+    score in closed form, a batch is a few hundred microseconds of
+    interpreter work, and pool workers would only contend for the GIL.
+    Other sweeps run their batches on the process's thread pool. The
+    integer counts are summed, so every estimate is the serial pass's.
+    Every program's row blocks and classes are built here first, since from Python 3.12 a
     cached_property takes no lock. Results are taken in batch order, so
     a failing sweep raises the error the serial pass would raise first.
     Returns one SweepResult per (arm, whitening), in order.
@@ -287,7 +297,9 @@ def _sweep_arms(sched: Schedule, plan: SimPlan, arms) -> list:
             for prog, cols, whitenings in arms]
     work = functools.partial(_score_batch, plan, arms[0][0].n_edges, jobs)
     children = np.random.SeedSequence(plan.seed).spawn(-(-plan.trials // plan.batch))
-    batches = (map if len(children) == 1 else _pool(os.getpid()).map)(
+    closed_form = all(rows.shape[1] == 1 for _, _, _, blocks, _ in jobs
+                      for rows, *_ in blocks)
+    batches = (map if len(children) == 1 or closed_form else _pool(os.getpid()).map)(
         work, range(len(children)), children)
     totals = iter(map(sum, zip(*batches)))     # each count summed over the batches
 

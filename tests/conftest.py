@@ -9,7 +9,7 @@ from relaydmt import (
     protocol, single_link_network)
 
 # the structure analyses a compiled program builds on first use
-PROGRAM_ANALYSES = ("_structure", "_masks", "_classes", "row_blocks")
+PROGRAM_ANALYSES = ("_structure", "_masks", "_classes", "row_blocks", "_steps")
 
 
 def _record_runs(monkeypatch, module, name):

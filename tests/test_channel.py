@@ -47,6 +47,8 @@ from relaydmt import (
     propagate,
     saf_network,
     saf_schedule,
+    schedule_from_dict,
+    schedule_to_dict,
     single_link_network,
     single_link_schedule,
     structure_certificate,
@@ -323,25 +325,33 @@ def test_compiled_program_matches_pinned_digest(family):
     assert _program_digest(prog) == PINNED_PROGRAM_SHA256[family]
 
 
-# Compiles each benchmark family and prints the program digest and the
-# sha256 of its row_values on one seeded batch.
+# Compiles each benchmark family and prints the program and class
+# digests, the sha256 of its row blocks, and the sha256 of its row_values
+# and distinct_values on one seeded batch.
 HASH_SEED_SCRIPT = """
 import hashlib
 import numpy as np
 from relaydmt import PropagationProgram, auto_schedule
-from test_channel import BENCH_FAMILIES, _program_digest
+from test_channel import BENCH_FAMILIES, _classes_digest, _program_digest
 for family in sorted(BENCH_FAMILIES):
     net = BENCH_FAMILIES[family]()
     prog = PropagationProgram(net, auto_schedule(net), 4)
     z = np.random.default_rng(0).standard_normal((2, prog.n_edges, 2))
-    vals = prog.row_values((z[0] + 1j * z[1]) / np.sqrt(2.0))
-    print(family, _program_digest(prog), hashlib.sha256(vals.tobytes()).hexdigest())
+    gains = (z[0] + 1j * z[1]) / np.sqrt(2.0)
+    blocks = hashlib.sha256()
+    for group in prog.row_blocks:
+        for a in group:
+            blocks.update(repr((a.dtype.str, a.shape)).encode() + a.tobytes())
+    print(family, _program_digest(prog), _classes_digest(prog), blocks.hexdigest(),
+          *(hashlib.sha256(vals.tobytes()).hexdigest()
+            for vals in (prog.row_values(gains), prog.distinct_values(gains))))
 """
 
 
 def test_compile_does_not_depend_on_the_hash_seed():
     # node ids are strings, whose set order changes with PYTHONHASHSEED;
-    # the compiled terms, layouts and row_values bytes must not
+    # the compiled terms, layouts, classes, row blocks and replayed bytes
+    # must not, nor may the early stop, which compares dicts and sets
     path = os.pathsep.join([str(Path(channel.__file__).resolve().parents[1]),
                             str(Path(__file__).resolve().parent)])
     outs = []
@@ -485,13 +495,17 @@ class DictLayoutProgram(PropagationProgram):
 
 
 def _assert_matches_dict_layouts(net, sched, cycles):
+    # the oracle walks the whole window; the library may stop once the
+    # relays' state repeats and derive the repeated cycles
     prog = PropagationProgram(net, sched, cycles)
     oracle = DictLayoutProgram(net, sched, cycles)
     assert _program_digest(prog) == _program_digest(oracle)
     assert _classes_digest(prog) == _classes_digest(oracle)
-    assert ((prog.n_symbols, prog.n_noise, prog.injections, prog.rows, prog.kept_rows)
+    assert ((prog.n_symbols, prog.n_noise, prog.injections, prog.rows, prog.kept_rows,
+             prog._row_values, prog._width)
             == (oracle.n_symbols, oracle.n_noise, oracle.injections, oracle.rows,
-                oracle.kept_rows))
+                oracle.kept_rows, oracle._row_values, oracle._width))
+    assert prog._scatter.tobytes() == oracle._scatter.tobytes()
     return prog
 
 
@@ -516,6 +530,50 @@ def test_tuple_layouts_match_the_dict_layout_compile(case, cycles):
     except LIBRARY_ERRORS:
         return
     _assert_matches_dict_layouts(net, sched, cycles)
+
+
+def _delayed_schedule(net, extra):
+    """``auto_schedule(net)`` through JSON, with its steady-state delay
+    lengthened by ``extra`` slots."""
+    data = schedule_to_dict(auto_schedule(net))
+    data["steady_state_delay"] += extra
+    return schedule_from_dict(json.loads(json.dumps(data)))
+
+
+# programs whose walk the early stop must get right: FIFOs carrying primes
+# and values across cycle boundaries (the buffered KPP(D) and KPP(I,D)),
+# a full-duplex line, programs that grow and never stop (KPP(4,5), fully
+# connected layered (1,2,2,2,1)), and a delay that is no multiple of N
+EARLY_STOP = {
+    "kppID444": (lambda: kpp_network((4, 4, 4), direct_link=True, bidirectional=False,
+                                     cross_links=[((1, 2), (2, 2))]), auto_schedule),
+    "kppD234": (lambda: kpp_network((2, 3, 4), direct_link=True), auto_schedule),
+    "fd-line": (lambda: fd_chain(3), fd_schedule),
+    "kpp45": (lambda: kpp_network((4, 5)), auto_schedule),
+    "layered12221": (lambda: layered_network((1, 2, 2, 2, 1)), auto_schedule),
+    "kpp234-delay+5": (lambda: kpp_network((2, 3, 4)), lambda net: _delayed_schedule(net, 5)),
+}
+
+
+@pytest.mark.parametrize("cycles", [1, 2, 4, 7])
+@pytest.mark.parametrize("case", sorted(EARLY_STOP))
+def test_early_stop_matches_the_dict_layout_compile(case, cycles):
+    mknet, mksched = EARLY_STOP[case]
+    net = mknet()
+    prog = _assert_matches_dict_layouts(net, mksched(net), cycles)
+    if cycles >= 4:
+        stopped = prog._walked_slots < prog.total_slots
+        assert stopped is (case not in ("kpp45", "layered12221"))
+
+
+def test_slots_walked():
+    # KPP(I) K=4 repeats from its first kept cycle, so the walk stops at
+    # D + N = 96 of 240 slots; KPP(4,5)'s supports grow every cycle
+    for net, walked, total in [
+            (PINNED_RUN_FAMILIES["kppI4"](), 96, 240),
+            (kpp_network((4, 5)), 50, 50)]:
+        prog = PropagationProgram(net, auto_schedule(net), 4)
+        assert (prog._walked_slots, prog.total_slots) == (walked, total)
 
 
 def test_overlapping_terms_take_the_dict_layout():
@@ -594,11 +652,12 @@ def test_model_analysis_compiles_one_program(mknet, probed, monkeypatch,
     assert len(compiled) == 1
     assert len(certified) == 1
     # the certificate and extract_blocks read one structure per model;
-    # the leakage makes extract_blocks read the edge masks, once, and
-    # nothing on this path reads the sweeps' classes or row blocks
+    # the leakage makes extract_blocks read the edge masks, once; the
+    # replays build the full step list once, and nothing on this path
+    # reads the sweeps' classes or row blocks
     assert len(shaped) == 1
     assert {name: len(progs) for name, progs in analysis_builds.items()} == {
-        "_structure": 1, "_masks": 1, "_classes": 0, "row_blocks": 0}
+        "_structure": 1, "_masks": 1, "_classes": 0, "row_blocks": 0, "_steps": 1}
     assert analysis_builds["_structure"] == [model.program]
 
 

@@ -435,12 +435,12 @@ def test_schedule_curve_of_slotted_banks():
     assert schedule_curve(saf_schedule(net, 2)).points == two_hop_window_curve(1).points
 
 
-def _corpus_networks():
-    """The distinct networks of the benchmark corpus at seeds 0-15."""
+def _corpus_networks(seeds=range(16)):
+    """The distinct networks of the benchmark corpus at ``seeds``."""
     workloads = runpy.run_path(
         str(Path(__file__).resolve().parent.parent / "bench" / "workloads.py"))
     specs = {json.dumps(spec[:2]): spec
-             for seed in range(16) for spec in workloads["corpus_specs"](seed)}
+             for seed in seeds for spec in workloads["corpus_specs"](seed)}
     return [workloads["build_network"](relaydmt, spec) for spec in specs.values()]
 
 
@@ -470,6 +470,33 @@ def test_corpus_curves_exist_exactly_where_schedules_do():
         checked += 1
         refused += fam is None
     assert checked > 100 and refused > 0 and longest_first > 0
+
+
+def _assert_checked(curve):
+    # exact breakpoints, and the curve the checking constructor makes of them
+    assert all(type(x) is Fraction for point in curve.points for x in point)
+    assert curve == DmtCurve(curve.points)
+
+
+def test_calculus_results_are_checked_curves():
+    # the calculus builds its results without re-running the constructor's
+    # checks; over the corpus curves, each result must pass them unchanged
+    curves = {}
+    for net in _corpus_networks(range(4)):
+        try:
+            fam = family_dmt(net)
+        except UnsupportedFamilyError:
+            continue
+        for curve in (fam.achievable, fam.cutset):
+            _assert_checked(curve)
+            curves[curve.points] = curve
+    assert len(curves) > 10
+    for a in curves.values():
+        _assert_checked(rate_scale(a, Fraction(3, 2)))
+        _assert_checked(linear_curve(a.max_diversity, a.max_diversity / 3))
+        for b in curves.values():
+            _assert_checked(parallel([a, b]))
+            _assert_checked(pointwise_sum(a, b))
 
 
 # ---------------------------------------------------------------------------

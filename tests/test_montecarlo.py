@@ -334,12 +334,13 @@ def _serial_pool(pid):
     return SimpleNamespace(map=map)
 
 
-@pytest.mark.parametrize("net", [
-    kpp_network((2, 3, 4)),
-    kpp_network((2, 3, 4, 2), direct_link=True),
+@pytest.mark.parametrize("net,pooled_calls", [
+    (kpp_network((2, 3, 4)), 0),
+    (kpp_network((2, 3, 4, 2), direct_link=True), 3),
 ], ids=["kpp234", "kppD2342"])
-def test_pooled_batches_match_a_serial_map(net, monkeypatch):
-    # 700 trials are three batches, the last one short
+def test_pooled_batches_match_a_serial_map(net, pooled_calls, monkeypatch):
+    # 700 trials are three batches, the last one short; KPP(2,3,4)'s blocks
+    # all have one row, so its sweeps keep to the calling thread
     sched = auto_schedule(net)
     plan = small_plan(snr_db=(10, 20, 30), rates=(0.0, 0.5), trials=700)
 
@@ -350,7 +351,7 @@ def test_pooled_batches_match_a_serial_map(net, monkeypatch):
     pool, used = montecarlo._pool(os.getpid()), []
     monkeypatch.setattr(montecarlo, "_pool", lambda pid: used.append(pid) or pool)
     pooled = results()
-    assert len(used) == 3
+    assert len(used) == pooled_calls
     monkeypatch.setattr(montecarlo, "_pool", _serial_pool)
     for a, b in zip(pooled, results(), strict=True):
         assert a.estimates == b.estimates
@@ -376,7 +377,7 @@ def test_more_workers_than_cores_keep_every_count(monkeypatch, analysis_builds):
     assert (got.first.estimates, got.second.estimates) == (
         want.first.estimates, want.second.estimates)
     assert _builds(analysis_builds) == {
-        "_structure": 0, "_masks": 0, "_classes": 2, "row_blocks": 2}
+        "_structure": 0, "_masks": 0, "_classes": 2, "row_blocks": 2, "_steps": 0}
 
 
 def test_pooled_sweep_raises_the_first_batch_error_and_keeps_its_pool():
@@ -409,6 +410,33 @@ def test_single_batch_sweeps_run_on_the_calling_thread(monkeypatch):
         outage_sweep(net, sched, plan)
         whitening_check(net, sched, plan)
         backflow_check(net, sched, plan)
+
+
+def test_closed_form_sweeps_run_on_the_calling_thread(monkeypatch):
+    # every block of the single link and of KPP(2,3,4) and its twin has one
+    # row, so their three batches score in closed form without the pool;
+    # the counts are those the pooled pass gave
+    def no_pool(pid):
+        raise AssertionError("a closed-form sweep asked for the pool")
+
+    monkeypatch.setattr(montecarlo, "_pool", no_pool)
+    plan = small_plan(rates=(0.0, 0.5))
+    net = single_link_network()
+    got = outage_sweep(net, single_link_schedule(net), plan)
+    assert {k: e.outages for k, e in got.estimates.items()} == {
+        (10, 0.0): 91, (10, 0.5): 183, (15, 0.0): 30, (15, 0.5): 135,
+        (20, 0.0): 7, (20, 0.5): 80}
+    net = kpp_network((2, 3, 4))
+    pair = backflow_check(net, auto_schedule(net), plan)
+    want = {(10, 0.0): 257, (10, 0.5): 563, (15, 0.0): 61, (15, 0.5): 463,
+            (20, 0.0): 8, (20, 0.5): 336}
+    for res in (pair.first, pair.second):
+        assert {k: e.outages for k, e in res.estimates.items()} == want
+
+    # KPP(D)(2,3,4,2) has blocks of five and six rows: its batches pool
+    net = kpp_network((2, 3, 4, 2), direct_link=True)
+    with pytest.raises(AssertionError, match="asked for the pool"):
+        outage_sweep(net, auto_schedule(net), plan)
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
@@ -540,6 +568,41 @@ def _gathered_sv2(h, g, blocks, whiten):
             sv2 = np.linalg.svd(hb, compute_uv=False) ** 2
         out.append(sv2.reshape(len(sv2), -1))
     return np.concatenate(out, axis=1)
+
+
+def _block_sv2_copying(vals, blocks, whiten, cycles=None):
+    """The block scorer as it was while ``distinct_values`` had no zero
+    row: it appends one to a copy of ``vals``, adds the identity to sigma
+    out of place and holds every gather to the end. The oracle the lean
+    scorer must match byte for byte."""
+    vals = np.concatenate([vals, np.zeros((1, vals.shape[1]))])
+    out = [np.zeros((vals.shape[1], 0))]
+    for rows, _, _, h_idx, g_idx, inverse in blocks:
+        hb = np.moveaxis(vals[h_idx], -1, 0)
+        gb = np.moveaxis(vals[g_idx], -1, 0)
+        if rows.shape[1] == 1:
+            sv2 = (hb.real**2 + hb.imag**2).sum(axis=(2, 3))
+            if whiten:
+                sv2 = sv2 / (1.0 + (gb.real**2 + gb.imag**2).sum(axis=(2, 3)))
+        else:
+            sigma = (gb @ np.conj(np.swapaxes(gb, -1, -2)) + np.eye(rows.shape[1])
+                     if whiten else None)
+            sv2 = _whitened_sv2(hb, sigma, cycles)
+        out.append(sv2[:, inverse].reshape(len(sv2), -1))
+    return np.concatenate(out, axis=1)
+
+
+@pytest.mark.parametrize("family", ["single", "kpp234", "kppD2342", "layered12221",
+                                    "kppI4"])
+def test_lean_block_scorer_matches_the_copying_one(family):
+    net = SCORED[family]()
+    prog = PropagationProgram(net, auto_schedule(net), 4)
+    gains = _draw_gains(np.random.default_rng(9), prog.n_edges, 64)
+    vals = prog.distinct_values(gains)
+    assert vals[-1].tobytes() == bytes(16 * 64)       # the zero row, +0.0 throughout
+    for whiten in (True, False):
+        _assert_same_bytes(_block_sv2(vals, prog.row_blocks, whiten),
+                           _block_sv2_copying(vals[:-1], prog.row_blocks, whiten))
 
 
 def _check_distinct_scoring(prog, gains):
@@ -833,16 +896,25 @@ def test_whitening_check_builds_the_sweep_analyses_once(analysis_builds):
     net = SCORED["kppD2342"]()
     whitening_check(net, auto_schedule(net), small_plan())
     assert _builds(analysis_builds) == {
-        "_structure": 0, "_masks": 0, "_classes": 1, "row_blocks": 1}
+        "_structure": 0, "_masks": 0, "_classes": 1, "row_blocks": 1, "_steps": 0}
 
 
 def test_backflow_check_builds_the_sweep_analyses_once_per_arm(analysis_builds):
     net = SCORED["kpp234"]()
     backflow_check(net, auto_schedule(net), small_plan())
     assert _builds(analysis_builds) == {
-        "_structure": 0, "_masks": 0, "_classes": 2, "row_blocks": 2}
+        "_structure": 0, "_masks": 0, "_classes": 2, "row_blocks": 2, "_steps": 0}
     real, twin = analysis_builds["_classes"]
     assert real is not twin and analysis_builds["row_blocks"] == [real, twin]
+
+
+def test_outage_sweep_never_builds_the_repeated_cycles(analysis_builds):
+    # KPP(I) K=4 compiles 96 of its 240 slots, and the sweep reads the
+    # classes and row blocks derived from them, never the full step list
+    net = SCORED["kppI4"]()
+    outage_sweep(net, auto_schedule(net), small_plan(trials=16))
+    assert _builds(analysis_builds) == {
+        "_structure": 0, "_masks": 0, "_classes": 1, "row_blocks": 1, "_steps": 0}
 
 
 def test_montecarlo_uses_only_public_channel_names():
