@@ -380,22 +380,34 @@ def test_more_workers_than_cores_keep_every_count(monkeypatch, analysis_builds):
         "_structure": 0, "_masks": 0, "_classes": 2, "row_blocks": 2, "_steps": 0}
 
 
-def test_pooled_sweep_raises_the_first_batch_error_and_keeps_its_pool():
+def _counting_pool(monkeypatch):
+    """Patch ``montecarlo._pool`` to note each caller's process id and
+    hand out the real, pid-keyed pool; returns the list of ids."""
+    pool, used = montecarlo._pool, []
+    monkeypatch.setattr(montecarlo, "_pool", lambda pid: used.append(pid) or pool(pid))
+    return used
+
+
+def test_pooled_sweep_raises_the_first_batch_error_and_keeps_its_pool(monkeypatch):
     # each of the four batches fails on its own max|sigma| (2.06e+36,
     # 2.37e+28, 1.03e+29, 1.58e+30); the pooled sweep must raise batch 0's
     # error, as a serial pass does
+    used = _counting_pool(monkeypatch)
     net = kpp_network((4, 5))
     with pytest.raises(PropagationError,
                        match=r"not positive definite.*= 2\.06e\+36\); fewer cycles"):
         outage_sweep(net, auto_schedule(net), SimPlan(trials=1024, seed=0))
+    assert len(used) == 1
 
-    # the pool still serves the next sweep, with the serial loop's counts
-    net = kpp_network((2, 3, 4))
+    # the pool still serves the next sweep, with the serial loop's counts;
+    # KPP(D)(2,3,4,2)'s blocks of five and six rows send it to the pool
+    net = kpp_network((2, 3, 4, 2), direct_link=True)
     res = outage_sweep(net, auto_schedule(net),
                        SimPlan(snr_db=(10, 20, 30), rates=(0.0, 0.5), trials=1024, seed=0))
+    assert len(used) == 2
     assert {k: e.outages for k, e in res.estimates.items()} == {
-        (10, 0.0): 337, (10, 0.5): 720, (20, 0.0): 7, (20, 0.5): 453,
-        (30, 0.0): 0, (30, 0.5): 158}
+        (10, 0.0): 14, (10, 0.5): 133, (20, 0.0): 0, (20, 0.5): 21,
+        (30, 0.0): 0, (30, 0.5): 2}
 
 
 def test_single_batch_sweeps_run_on_the_calling_thread(monkeypatch):
@@ -440,15 +452,23 @@ def test_closed_form_sweeps_run_on_the_calling_thread(monkeypatch):
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
-def test_forked_child_sweeps_on_a_pool_of_its_own():
+def test_forked_child_sweeps_on_a_pool_of_its_own(monkeypatch):
     # the child inherits the parent's pool but none of its worker threads;
-    # a pool that outlived the fork would wait for them forever
-    net = kpp_network((2, 3, 4))
+    # a pool that outlived the fork would wait for them forever. Both
+    # sweeps must pool, so KPP(D)(2,3,4,2), whose blocks have several rows
+    used = _counting_pool(monkeypatch)
+    net = kpp_network((2, 3, 4, 2), direct_link=True)
     sched = auto_schedule(net)
-    want = outage_sweep(net, sched, small_plan()).estimates
+    plan = small_plan(rates=(0.0, 0.5))
+    want = outage_sweep(net, sched, plan).estimates
+    assert used == [os.getpid()]
+    assert {k: e.outages for k, e in want.items()} == {
+        (10, 0.0): 12, (10, 0.5): 99, (15, 0.0): 1, (15, 0.5): 53,
+        (20, 0.0): 0, (20, 0.5): 22}
 
     def child():
-        sys.exit(0 if outage_sweep(net, sched, small_plan()).estimates == want else 1)
+        same = outage_sweep(net, sched, plan).estimates == want
+        sys.exit(0 if same and used[-1] == os.getpid() else 1)
 
     proc = multiprocessing.get_context("fork").Process(target=child)
     proc.start()
