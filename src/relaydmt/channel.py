@@ -15,7 +15,8 @@ walked prefix; a program whose supports keep growing is walked to the
 end. A compiled ``PropagationProgram`` also owns five analyses of its
 structure, each built on first use and kept: the full step list of the
 window, which ``run`` and ``row_values`` replay; the shape of H from
-the kept rows' supports, which no draw or threshold moves (read by
+the kept rows' supports, found with one sort over every row's H
+entries, which no draw or threshold moves (read by
 ``structure_certificate`` and ``extract_blocks``); an edge bitmask per
 support entry, so ``extract_blocks`` probes only edges that reach both
 a thread and a leakage entry; the expression classes, values that
@@ -63,15 +64,22 @@ class FadingRealization:
     @classmethod
     def sample(cls, net: Network, rng, reciprocal: bool = False):
         """Draw i.i.d. unit-variance complex Gaussian gains; with
-        ``reciprocal`` the two directions of a link share one draw."""
+        ``reciprocal`` the two directions of a link share one draw.
+
+        Edges take their draws in sorted (tail, head) order, one
+        (real, imaginary) pair each, and a reverse edge reuses its
+        earlier partner's. All pairs come from one ``standard_normal``
+        call, so the generator's stream, and every gain's bytes, are
+        those of one two-value draw per edge."""
         rng = np.random.default_rng(rng)
+        pairs = sorted(net.edge_set)
+        shared = {p for p in pairs if reciprocal and p[::-1] < p and p[::-1] in net.edge_set}
+        # divide the real parts, not the complex gain: multiplying by 1/sqrt(2)
+        # would move the last bit of most draws
+        draws = iter((rng.standard_normal((len(pairs) - len(shared), 2)) / np.sqrt(2.0)).tolist())
         gains = {}
-        for pair in sorted(net.edge_set):
-            if reciprocal and (pair[1], pair[0]) in gains:
-                gains[pair] = gains[(pair[1], pair[0])]
-            else:
-                re, im = rng.standard_normal(2)
-                gains[pair] = complex(re, im) / np.sqrt(2.0)
+        for pair in pairs:
+            gains[pair] = gains[pair[::-1]] if pair in shared else complex(*next(draws))
         return cls(gains=gains)
 
 
@@ -454,9 +462,15 @@ class PropagationProgram:
 
     @cached_property
     def _structure(self):
-        """``_shape`` of the H columns in each kept row's compiled support."""
-        kept = len(self.kept_cols)
-        return _shape([np.sort(cols[cols < kept]) for cols in self.row_support])
+        """``_shape`` of the H columns in each kept row's compiled support.
+
+        An entry of ``_scatter`` is row * width + column, so one sort of
+        the H entries orders them by row and then by column."""
+        width = self._width or 1
+        in_h = self._scatter % width < len(self.kept_cols)
+        row, col = np.divmod(np.sort(self._scatter[in_h]), width)
+        ends = np.cumsum(np.bincount(row, minlength=len(self.kept_rows))).tolist()
+        return _shape([col[a:b] for a, b in zip([0] + ends, ends)])
 
     @cached_property
     def _masks(self):

@@ -280,7 +280,18 @@ def family_dmt(net: Network) -> FamilyAnalysis:
     is read off the schedule ``auto_schedule`` builds: its
     ``schedule_curve``, against the line of its path count plus the
     direct link. No schedule, or a multi-antenna relay network, is an
-    ``UnsupportedFamilyError``."""
+    ``UnsupportedFamilyError``.
+
+    The analysis is built once per network and kept on it, as
+    ``auto_schedule`` keeps its schedule; a failure is not kept, so it
+    raises again on every call. Every caller shares the one frozen
+    analysis and its curves."""
+    if net._family is None:
+        net._family = _family_dmt(net)
+    return net._family
+
+
+def _family_dmt(net):
     cls = classify(net)
     if not net.relays:
         # bare point-to-point link; antennas set the exponent

@@ -94,8 +94,11 @@ class Network:
     ``edges`` may contain repeated (tail, head) pairs; parallel edges
     arise from antenna expansion and are counted individually by the
     flow routines. A network is immutable after construction, so it
-    keeps its classification once :func:`classify` has found it, and
-    its schedule once ``protocol.auto_schedule`` has built it.
+    keeps the answers about it alone once they are found: its
+    classification (:func:`classify`), its min-cut (:func:`min_cut`),
+    its schedule (``protocol.auto_schedule``) and its tradeoff curves
+    (``dmt.family_dmt``). A failure is never kept. Every caller shares
+    the kept objects, so they must not be mutated.
     """
 
     def __init__(self, nodes, edges, name: str = ""):
@@ -120,7 +123,9 @@ class Network:
             self.in_neighbors[e.head].add(e.tail)
         self.edge_set = {e.pair for e in self.edges}
         self._classification = None
+        self._min_cut = None
         self._schedule = None
+        self._family = None
         if not self._reaches_sink():
             raise UnreachableSinkError("sink not reachable from source")
 
@@ -446,7 +451,16 @@ def _flow_network(net: Network):
 
 
 def min_cut(net: Network) -> int:
-    """Source-sink edge connectivity of the antenna-expanded graph."""
+    """Source-sink edge connectivity of the antenna-expanded graph.
+
+    Found once per network and kept, as :func:`classify` keeps its
+    classification; a failure is not kept."""
+    if net._min_cut is None:
+        net._min_cut = _min_cut(net)
+    return net._min_cut
+
+
+def _min_cut(net: Network) -> int:
     expanded = expand_antennas(net)
     dinic, index, _ = _flow_network(expanded)
     return dinic.max_flow(index[expanded.source.id], index[expanded.sink.id])

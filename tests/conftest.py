@@ -5,7 +5,7 @@ from dataclasses import replace
 import pytest
 
 from relaydmt import (
-    Network, PropagationProgram, kpp_network, layered_network, netgraph,
+    Network, PropagationProgram, dmt, kpp_network, layered_network, netgraph,
     protocol, single_link_network)
 
 # the structure analyses a compiled program builds on first use
@@ -33,9 +33,21 @@ def classify_runs(monkeypatch):
 
 
 @pytest.fixture
+def min_cut_runs(monkeypatch):
+    """The networks ``netgraph._min_cut`` runs on, in call order."""
+    return _record_runs(monkeypatch, netgraph, "_min_cut")
+
+
+@pytest.fixture
 def schedule_runs(monkeypatch):
     """The networks ``protocol._auto_schedule`` runs on, in call order."""
     return _record_runs(monkeypatch, protocol, "_auto_schedule")
+
+
+@pytest.fixture
+def family_runs(monkeypatch):
+    """The networks ``dmt._family_dmt`` runs on, in call order."""
+    return _record_runs(monkeypatch, dmt, "_family_dmt")
 
 
 @pytest.fixture

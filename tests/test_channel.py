@@ -32,6 +32,7 @@ from relaydmt import (
     PropagationError,
     PropagationProgram,
     Schedule,
+    SchedulingError,
     auto_schedule,
     color_kpp_general,
     color_kpp_three,
@@ -57,6 +58,7 @@ from relaydmt import (
 from relaydmt import channel
 from relaydmt.channel import _expected_thread, _shape
 from relaydmt.protocol import PathSet
+from test_dmt import _corpus_networks
 from test_montecarlo import LIBRARY_ERRORS, PARALLEL_CASES, _parallel_network
 
 
@@ -944,9 +946,9 @@ def test_extract_blocks_sees_thread_edges_feeding_leakage():
     assert flags == [False] * 10
 
 
-def test_extract_blocks_needs_structure():
-    # w never hears anything, so the slot-1 sink row carries only a's
-    # receiver noise and H has an empty row
+def _empty_row_case():
+    """A network and schedule whose H has an empty row: w never hears
+    anything, so the slot-1 sink row carries only a's receiver noise."""
     net = Network([Node("s", "source"), Node("w", "relay"), Node("a", "relay"),
                    Node("d", "sink")],
                   [Edge("s", "d"), Edge("w", "a"), Edge("a", "d")])
@@ -956,10 +958,42 @@ def test_extract_blocks_needs_structure():
                      ("s", "d"): frozenset({2})},
         symbols_per_cycle=1,
     )
+    return net, sched
+
+
+def test_extract_blocks_needs_structure():
+    net, sched = _empty_row_case()
     model = propagate(net, sched, FadingRealization.sample(net, 1), cycles=2)
     assert structure_certificate(model).kind == "none"
     with pytest.raises(PropagationError):
         extract_blocks(model)
+
+
+def _row_by_row_structure(prog):
+    """``_structure`` with each kept row's H columns sorted on their own:
+    the reference for the one sort over every row."""
+    kept = len(prog.kept_cols)
+    return _shape([np.sort(cols[cols < kept]) for cols in prog.row_support])
+
+
+def test_structure_matches_the_row_by_row_sort():
+    cases = [_empty_row_case()]
+    for net in (_corpus_networks(range(4)) + [mk() for mk in BENCH_FAMILIES.values()]
+                + [kpp_network((4, 5))]):
+        try:
+            cases.append((net, auto_schedule(net)))
+        except SchedulingError:
+            pass
+    kinds = set()
+    for net, sched in cases:
+        for cycles in (1, 2, 4, 7):
+            prog = PropagationProgram(net, sched, cycles)
+            kind, main, notes = _row_by_row_structure(prog)
+            assert prog._structure == (kind, main, notes)
+            kinds.add((kind, notes))
+    assert len(cases) > 90
+    assert kinds >= {("diagonal", ()), ("lower-triangular", ()),
+                     ("block-lower-triangular", ()), ("none", ("empty row",))}
 
 
 # ---------------------------------------------------------------------------
@@ -1083,6 +1117,40 @@ def test_overlapping_colors_do_leak_through_reverse_links():
 
 # ---------------------------------------------------------------------------
 # fading bookkeeping
+
+def _edge_by_edge_sample(net, rng, reciprocal):
+    """The fading draw taken one edge at a time, each gain divided by
+    sqrt(2) as a complex number: the reference for ``sample``'s bytes."""
+    gains = {}
+    for pair in sorted(net.edge_set):
+        if reciprocal and (pair[1], pair[0]) in gains:
+            gains[pair] = gains[(pair[1], pair[0])]
+        else:
+            re, im = rng.standard_normal(2)
+            gains[pair] = complex(re, im) / np.sqrt(2.0)
+    return gains
+
+
+@pytest.mark.parametrize("reciprocal", [False, True])
+def test_fading_draw_matches_the_edge_by_edge_draw(reciprocal):
+    # dividing the complex gains by sqrt(2) in an array multiplies by
+    # 1/sqrt(2) and moves the last bit of most draws; every byte, the key
+    # order and the generator's next value must match instead
+    nets = _corpus_networks(range(4)) + [mk() for mk in BENCH_FAMILIES.values()]
+    shared = 0
+    for k, net in enumerate(nets):
+        rng, ref = np.random.default_rng(k), np.random.default_rng(k)
+        got = FadingRealization.sample(net, rng, reciprocal=reciprocal).gains
+        want = _edge_by_edge_sample(net, ref, reciprocal)
+        assert list(got) == list(want)
+        assert [type(g) for g in got.values()] == [type(g) for g in want.values()]
+        assert (b"".join(np.complex128(g).tobytes() for g in got.values())
+                == b"".join(np.complex128(g).tobytes() for g in want.values()))
+        assert rng.standard_normal() == ref.standard_normal()
+        shared += sum(got[p] is got.get(p[::-1]) for p in got if p < p[::-1])
+    assert len(nets) > 100
+    assert (shared > 0) is reciprocal
+
 
 def test_fading_reciprocal():
     net = kpp_network((2, 2))

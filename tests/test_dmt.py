@@ -20,12 +20,14 @@ from relaydmt import (
     DmtCurve,
     Edge,
     Network,
+    NetworkError,
     Node,
     SchedulingError,
     UnsupportedFamilyError,
     auto_schedule,
     classify,
     curve_rows,
+    expand_antennas,
     family_dmt,
     is_relay_bank,
     kpp_network,
@@ -435,13 +437,24 @@ def test_schedule_curve_of_slotted_banks():
     assert schedule_curve(saf_schedule(net, 2)).points == two_hop_window_curve(1).points
 
 
-def _corpus_networks(seeds=range(16)):
-    """The distinct networks of the benchmark corpus at ``seeds``."""
-    workloads = runpy.run_path(
+def _workloads():
+    """The benchmark's ``workloads`` module, as a namespace dict."""
+    return runpy.run_path(
         str(Path(__file__).resolve().parent.parent / "bench" / "workloads.py"))
+
+
+def _corpus_networks(seeds=range(16)):
+    """The distinct networks of the benchmark corpus at ``seeds``, each
+    built fresh."""
+    workloads = _workloads()
     specs = {json.dumps(spec[:2]): spec
              for seed in seeds for spec in workloads["corpus_specs"](seed)}
     return [workloads["build_network"](relaydmt, spec) for spec in specs.values()]
+
+
+def _bench_networks():
+    """The benchmark's five sweep families, each built fresh."""
+    return [build(relaydmt) for build in _workloads()["FAMILIES"].values()]
 
 
 def test_corpus_curves_exist_exactly_where_schedules_do():
@@ -497,6 +510,78 @@ def test_calculus_results_are_checked_curves():
         for b in curves.values():
             _assert_checked(parallel([a, b]))
             _assert_checked(pointwise_sum(a, b))
+
+
+# ---------------------------------------------------------------------------
+# answers kept on the network
+
+def test_min_cut_and_family_dmt_run_once_per_network(min_cut_runs, family_runs):
+    nets = _bench_networks() + _corpus_networks(range(1))
+    curved = []
+    for net in nets:
+        cut = min_cut(net)
+        try:
+            fam = family_dmt(net)
+        except UnsupportedFamilyError:
+            continue
+        curved.append(net)
+        for _ in range(2):
+            assert min_cut(net) == cut
+            assert family_dmt(net) is fam
+    assert len(curved) > 70
+    assert min_cut_runs == family_runs == nets
+
+
+def test_twins_and_expanded_networks_keep_their_own_answers(
+        antenna_nets, min_cut_runs, family_runs):
+    net = kpp_network((2, 3, 4), direct_link=True)
+    twin = net.without_edges([("s", "d"), ("d", "s")])
+    assert (min_cut(net), min_cut(twin)) == (4, 3)
+    assert family_dmt(net).cutset.max_diversity == 4
+    assert family_dmt(twin).cutset.max_diversity == 3
+    bare = antenna_nets["bare22"]
+    wide = expand_antennas(bare)
+    assert family_dmt(bare).achievable == mimo_dmt(2, 2)
+    # the expansion realizes the antennas as parallel edges, which the
+    # bare-link rule reads as one single-antenna link
+    assert family_dmt(wide).achievable == mimo_dmt(1, 1)
+    assert (min_cut(bare), min_cut(wide)) == (4, 4)
+    assert min_cut_runs == [net, twin, bare, wide]
+    assert family_runs == [net, twin, bare, wide]
+
+
+def test_a_failing_family_dmt_keeps_nothing(antenna_nets, family_runs):
+    relays = antenna_nets["layered1221"]
+    crossed = kpp_network((3, 4), cross_links=[((1, 1), (2, 1))])
+    for net, match in ((relays, "multi-antenna"), (crossed, "three parallel paths")):
+        for _ in range(2):
+            with pytest.raises(UnsupportedFamilyError, match=match):
+                family_dmt(net)
+        assert net._family is None
+    assert family_runs == [relays, relays, crossed, crossed]
+
+
+def test_a_failing_min_cut_keeps_nothing(min_cut_runs):
+    # the two antennas of r expand to an id another relay already has
+    net = Network([Node("s", "source"), Node("r", "relay", 2), Node("r::0", "relay"),
+                   Node("d", "sink")],
+                  [Edge("s", "r"), Edge("r", "r::0"), Edge("r::0", "d")])
+    for _ in range(2):
+        with pytest.raises(NetworkError, match="collides"):
+            min_cut(net)
+    assert min_cut_runs == [net, net]
+
+
+def test_pipeline_records_match_a_fresh_network():
+    workloads = _workloads()
+    pipeline, build = workloads["pipeline"], workloads["build_network"]
+    rejected = 0
+    for spec in workloads["corpus_specs"](0):
+        net = build(relaydmt, spec)
+        first, again = (pipeline(relaydmt, net, spec[2]) for _ in range(2))
+        assert first == again == pipeline(relaydmt, build(relaydmt, spec), spec[2]), spec
+        rejected += "rejected" in first
+    assert rejected > 0
 
 
 # ---------------------------------------------------------------------------
