@@ -4,8 +4,10 @@ Running a schedule for a whole number of cycles turns the network into
 one linear map: sink observations = H * (source symbols) + n, where n
 has covariance sigma = I + G G^H and G collects the amplified relay
 noise. Symbols and relay noises are tracked as separate columns through
-the same register arithmetic the real network would apply, so H, G and
-sigma come out of one pass with no formula specific to any topology.
+the same register arithmetic the real network would apply, so H and G
+come out of one pass with no formula specific to any topology; sigma
+is formed from G only when it is read, since the structural analyses
+below read H alone.
 Compilation walks that arithmetic over structural supports (the columns
 each register value can reach), and every run then works on those
 supports alone. A slow-fading schedule repeats one slotted cycle, so
@@ -17,7 +19,8 @@ structure, each built on first use and kept: the full step list of the
 window, which ``run`` and ``row_values`` replay; the shape of H from
 the kept rows' supports, found with one sort over every row's H
 entries, which no draw or threshold moves (read by
-``structure_certificate`` and ``extract_blocks``); an edge bitmask per
+``structure_certificate`` and ``extract_blocks``, which never build a
+model's sigma); an edge bitmask per
 support entry, so ``extract_blocks`` probes only edges that reach both
 a thread and a leakage entry; the expression classes, values that
 repeat the same arithmetic on the same operands as one cycle's rows
@@ -87,10 +90,13 @@ class FadingRealization:
 class TransferModel:
     """Linear channel induced by (net, sched, fading) over a window.
 
-    ``h`` is rows x symbols, ``noise`` is rows x forwarded-noise, and
-    ``sigma = I + noise @ noise^H``. ``input_slots[j]`` is the absolute
-    slot in which symbol j entered the source; ``output_slots[i]`` is
-    the absolute slot of sink reception i. ``total_slots`` counts the
+    ``h`` is rows x symbols and ``noise`` is rows x forwarded-noise.
+    Their noise covariance ``sigma = I + noise @ noise^H`` matters only
+    for mutual information, so it is derived from ``noise`` on first
+    read and kept; the structural analyses read ``h`` alone and never
+    build it. ``input_slots[j]`` is the absolute slot in which symbol j
+    entered the source; ``output_slots[i]`` is the absolute slot of
+    sink reception i. ``total_slots`` counts the
     whole window including the discarded start-up, which is what rate
     accounting must divide by. ``program`` is the compiled
     ``PropagationProgram`` that produced h and noise from ``fading``; it
@@ -100,13 +106,16 @@ class TransferModel:
 
     h: np.ndarray
     noise: np.ndarray
-    sigma: np.ndarray
     input_slots: tuple
     output_slots: tuple
     total_slots: int
     cycle_length: int
     program: PropagationProgram
     fading: FadingRealization
+
+    @cached_property
+    def sigma(self):
+        return np.eye(self.h.shape[0]) + self.noise @ self.noise.conj().T
 
     @property
     def n_rows(self):
@@ -687,13 +696,10 @@ def propagate(net: Network, sched: Schedule, fading: FadingRealization,
     """
     prog = PropagationProgram(net, sched, cycles)
     h, g = prog.run(prog.gain_vector(fading))
-    h, g = h[0], g[0]
-    sigma = np.eye(h.shape[0]) + g @ g.conj().T
     inj = {j: t for t, j in prog.injections}
     return TransferModel(
-        h=h,
-        noise=g,
-        sigma=sigma,
+        h=h[0],
+        noise=g[0],
         input_slots=tuple(inj[j] for j in prog.kept_cols),
         output_slots=tuple(prog.rows[i] for i in prog.kept_rows),
         total_slots=prog.total_slots,

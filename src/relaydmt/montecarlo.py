@@ -195,6 +195,12 @@ def _thresholds(plan, sched, n_rows):
     return thr
 
 
+def _threshold_grid(plan, sched, n_rows):
+    """``_thresholds`` as an (snr, rate) array, in the plan's order."""
+    thr = _thresholds(plan, sched, n_rows)
+    return np.array([[thr[(db, r)] for r in plan.rates] for db in plan.snr_db])
+
+
 def _block_sv2(vals, blocks, whiten, cycles=None):
     """Squared singular values of the (whitened) channel, block by block.
 
@@ -252,20 +258,24 @@ def _pool(pid):
 def _score_batch(plan, n_edges, jobs, k, child):
     """Draw batch ``k`` from its seed ``child`` and score it on every job.
 
+    Each scoring counts every (SNR, rate) cell at once: one log2 over
+    (snr, batch, n) gives every SNR's bits, compared in one broadcast
+    against ``thr``, the job's (snr, rate) array of ``_thresholds``.
     Returns the batch's outage counts as one flat list of ints, per
     scoring (jobs and their whitenings in order), then per SNR, then per
     rate.
     """
     b = min(plan.batch, plan.trials - k * plan.batch)
     gains = _draw_gains(np.random.default_rng(child), n_edges, plan.batch)[:, :b]
+    # Python's power, as the thresholds use; numpy's may differ in the last bit
+    rho = np.array([10.0 ** (db / 10.0) for db in plan.snr_db])[:, None, None]
     counts = []
     for prog, cols, whitenings, blocks, thr in jobs:
         vals = prog.distinct_values(gains if cols is None else gains[cols])
         for whiten in whitenings:
             sv2 = _block_sv2(vals, blocks, whiten, plan.cycles)
-            for db in plan.snr_db:
-                bits = np.log2(1.0 + 10.0 ** (db / 10.0) * sv2).sum(axis=1)
-                counts += [int((bits < thr[(db, r)]).sum()) for r in plan.rates]
+            bits = np.log2(1.0 + rho * sv2).sum(axis=-1)
+            counts += (bits[:, None, :] < thr[..., None]).sum(axis=-1).ravel().tolist()
     return counts
 
 
@@ -293,7 +303,7 @@ def _sweep_arms(sched: Schedule, plan: SimPlan, arms) -> list:
     Returns one SweepResult per (arm, whitening), in order.
     """
     jobs = [(prog, cols, whitenings, prog.row_blocks,
-             _thresholds(plan, sched, len(prog.kept_rows)))
+             _threshold_grid(plan, sched, len(prog.kept_rows)))
             for prog, cols, whitenings in arms]
     work = functools.partial(_score_batch, plan, arms[0][0].n_edges, jobs)
     children = np.random.SeedSequence(plan.seed).spawn(-(-plan.trials // plan.batch))

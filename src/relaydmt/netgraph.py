@@ -96,9 +96,11 @@ class Network:
     flow routines. A network is immutable after construction, so it
     keeps the answers about it alone once they are found: its
     classification (:func:`classify`), its min-cut (:func:`min_cut`),
-    its schedule (``protocol.auto_schedule``) and its tradeoff curves
-    (``dmt.family_dmt``). A failure is never kept. Every caller shares
-    the kept objects, so they must not be mutated.
+    its schedule (``protocol.auto_schedule``), that schedule's
+    orthogonality report (``protocol.validate_orthogonal``) and its
+    tradeoff curves (``dmt.family_dmt``). A failure is never kept, nor
+    is the report on any other schedule. Every caller shares the kept
+    objects, so they must not be mutated.
     """
 
     def __init__(self, nodes, edges, name: str = ""):
@@ -125,6 +127,7 @@ class Network:
         self._classification = None
         self._min_cut = None
         self._schedule = None
+        self._orthogonality = None
         self._family = None
         if not self._reaches_sink():
             raise UnreachableSinkError("sink not reachable from source")

@@ -99,7 +99,21 @@ def validate_orthogonal(net: Network, sched: Schedule) -> OrthogonalityReport:
     Constraint 4: every edge of path i is active exactly m_i times.
     Back-flow (a relay hears a node two hops downstream) is legal but
     reported: it exists at the head of edge j when A_j meets A_{j+2}.
+
+    The report on the schedule the network keeps (``auto_schedule``'s)
+    is found once and kept on the network beside it. Any other schedule,
+    even one equal to the kept one, is checked again on every call, and
+    so is a schedule that fails. Every caller of the kept report shares
+    the one object, so it must not be mutated.
     """
+    if sched is not net._schedule:
+        return _validate_orthogonal(net, sched)
+    if net._orthogonality is None:
+        net._orthogonality = _validate_orthogonal(net, sched)
+    return net._orthogonality
+
+
+def _validate_orthogonal(net, sched):
     if sched.backbone is None:
         raise SchedulingError("schedule carries no path decomposition")
     msgs = []

@@ -13,14 +13,15 @@ PROGRAM_ANALYSES = ("_structure", "_masks", "_classes", "row_blocks", "_steps")
 
 
 def _record_runs(monkeypatch, module, name):
-    """Patch the one-network function ``module.name`` to record the
-    networks it runs on, in call order, and return that record."""
+    """Patch the function ``module.name``, whose first argument is a
+    network, to record the networks it runs on, in call order, and
+    return that record."""
     runs = []
     inner = getattr(module, name)
 
-    def counting(net):
+    def counting(net, *args):
         runs.append(net)
-        return inner(net)
+        return inner(net, *args)
 
     monkeypatch.setattr(module, name, counting)
     return runs
@@ -42,6 +43,13 @@ def min_cut_runs(monkeypatch):
 def schedule_runs(monkeypatch):
     """The networks ``protocol._auto_schedule`` runs on, in call order."""
     return _record_runs(monkeypatch, protocol, "_auto_schedule")
+
+
+@pytest.fixture
+def validate_runs(monkeypatch):
+    """The networks ``protocol._validate_orthogonal`` runs on, in call
+    order."""
+    return _record_runs(monkeypatch, protocol, "_validate_orthogonal")
 
 
 @pytest.fixture

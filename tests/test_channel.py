@@ -1159,3 +1159,46 @@ def test_fading_reciprocal():
     plain = FadingRealization.sample(net, 21)
     pairs = [p for p in plain.gains if (p[1], p[0]) in plain.gains]
     assert any(plain.gains[p] != plain.gains[(p[1], p[0])] for p in pairs)
+
+
+# ---------------------------------------------------------------------------
+# the noise covariance, built on first read
+
+def test_sigma_is_built_from_the_noise_only_when_read():
+    # the structural analyses read H alone; sigma, once read, holds the
+    # bytes of I + G G^H formed from the model's own noise
+    cases = []
+    for net in [mk() for mk in BENCH_FAMILIES.values()] + _corpus_networks(range(4)):
+        try:
+            cases.append((net, auto_schedule(net)))
+        except SchedulingError:
+            pass
+    kinds = set()
+    for k, (net, sched) in enumerate(cases):
+        fading = FadingRealization.sample(net, k)
+        for cycles in (1, 2, 4, 7):
+            model = propagate(net, sched, fading, cycles=cycles)
+            cert = structure_certificate(model)
+            if cert.kind != "none" and cycles == 4:
+                extract_blocks(model)
+            kinds.add(cert.kind)
+            assert "sigma" not in model.__dict__
+            g = model.noise
+            want = np.eye(len(g)) + g @ g.conj().T
+            assert model.sigma.tobytes() == want.tobytes()
+            assert model.sigma.shape == want.shape and model.sigma.dtype == want.dtype
+            assert model.sigma is model.sigma
+    assert len(cases) > 90
+    assert {"diagonal", "lower-triangular", "block-lower-triangular"} <= kinds
+
+
+def test_a_replaced_model_builds_its_own_sigma():
+    net = kpp_network((2, 3, 4))
+    model = propagate(net, color_kpp_three(net), FadingRealization.sample(net, 9))
+    first = model.sigma
+    louder = replace(model, noise=2.0 * model.noise)
+    assert "sigma" not in louder.__dict__
+    g = louder.noise
+    assert louder.sigma.tobytes() == (np.eye(len(g)) + g @ g.conj().T).tobytes()
+    assert not np.array_equal(louder.sigma, first)
+    assert model.sigma is first

@@ -766,6 +766,43 @@ def test_block_scoring_keeps_every_outage_count(family):
         assert {k: e.outages for k, e in result.estimates.items()} == want
 
 
+def _per_cell_counts(plan, sched, prog, whitenings, k, child):
+    """``_score_batch`` on one job, one comparison per (SNR, rate)
+    cell: the oracle for its broadcast."""
+    thr = _thresholds(plan, sched, len(prog.kept_rows))
+    b = min(plan.batch, plan.trials - k * plan.batch)
+    gains = _draw_gains(np.random.default_rng(child), prog.n_edges, plan.batch)[:, :b]
+    vals = prog.distinct_values(gains)
+    counts = []
+    for whiten in whitenings:
+        sv2 = _block_sv2(vals, prog.row_blocks, whiten, plan.cycles)
+        for db in plan.snr_db:
+            bits = np.log2(1.0 + 10.0 ** (db / 10.0) * sv2).sum(axis=1)
+            counts += [int((bits < thr[(db, r)]).sum()) for r in plan.rates]
+    return counts
+
+
+@pytest.mark.parametrize("family", ["single", "kpp234", "kppD2342", "layered12221", "kppI4"])
+def test_batch_counts_match_the_per_cell_loop(family):
+    net = SCORED[family]()
+    sched = auto_schedule(net)
+    trials, batch = (40, 16) if family == "kppI4" else (600, 256)
+    plan = small_plan(snr_db=SCORED_DB, rates=(0.0, 0.25, 0.5), trials=trials, batch=batch)
+    prog = PropagationProgram(net, sched, plan.cycles)
+    whitenings = (True, False)
+    jobs = [(prog, None, whitenings, prog.row_blocks,
+             montecarlo._threshold_grid(plan, sched, len(prog.kept_rows)))]
+    children = np.random.SeedSequence(plan.seed).spawn(-(-plan.trials // plan.batch))
+    outages = 0
+    for k, child in enumerate(children):
+        got = montecarlo._score_batch(plan, prog.n_edges, jobs + jobs, k, child)
+        want = _per_cell_counts(plan, sched, prog, whitenings, k, child)
+        assert got == want + want
+        assert all(type(c) is int for c in got)
+        outages += sum(want)
+    assert len(want) == 2 * len(plan.snr_db) * len(plan.rates) and outages > 0
+
+
 # blocks the sweeps score per batch, one per class of byte-equal gathers
 SCORED_BLOCKS = {"kpp234": 3, "kppD2342": 3, "layered12221": 2}
 

@@ -7,6 +7,7 @@ import hashlib
 import itertools
 import json
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -53,6 +54,7 @@ from relaydmt import (
     validate_orthogonal,
 )
 from relaydmt.protocol import _closing_slots, _has_cycle
+from test_dmt import _bench_networks, _corpus_networks
 
 
 # ---------------------------------------------------------------------------
@@ -448,6 +450,59 @@ def test_auto_schedule_keeps_successes_on_their_own_network(schedule_runs):
         with pytest.raises(SchedulingError, match="downstream overlap"):
             auto_schedule(refused)
     assert schedule_runs == [net, twin, refused, refused]
+
+
+def test_the_kept_schedule_is_validated_once_per_network(validate_runs):
+    kept = []
+    for net in _bench_networks() + _corpus_networks(range(1)):
+        with contextlib.suppress(SchedulingError):
+            kept.append((net, auto_schedule(net)))
+    validate_runs.clear()           # the buffered schedules' base checks
+    for net, sched in kept:
+        report = validate_orthogonal(net, sched)
+        for _ in range(2):
+            assert validate_orthogonal(net, sched) is report
+        assert net._orthogonality is report
+    assert len(kept) > 70
+    assert validate_runs == [net for net, _ in kept]
+
+
+def test_the_buffered_base_schedule_is_validated_afresh(validate_runs):
+    net = kpp_network((2, 3, 4, 2), direct_link=True)
+    sched = auto_schedule(net)
+    report = validate_orthogonal(net, sched)
+    assert kppD_schedule(net) == sched
+    assert validate_orthogonal(net, sched) is report
+    # the base checks before and after the kept one, never served it
+    assert validate_runs == [net, net, net]
+
+
+def test_other_schedules_and_twins_are_validated_afresh(tmp_path, validate_runs):
+    net = kpp_network((2, 3, 4))
+    sched = auto_schedule(net)
+    report = validate_orthogonal(net, sched)
+    path = tmp_path / "sched.json"
+    save_schedule(sched, path)
+    loaded = load_schedule(path)
+    twin = net.without_edges([("p1r1", "s")])
+    for _ in range(2):
+        for other, other_sched in ((net, loaded), (twin, sched)):
+            again = validate_orthogonal(other, other_sched)
+            assert again == report and again is not report
+    assert twin._orthogonality is None
+    assert validate_runs == [net] + [net, twin] * 2
+
+
+def test_a_failing_kept_schedule_keeps_no_report(validate_runs):
+    # no family schedule lacks a backbone, so one is kept by hand
+    net = kpp_network((2, 3, 4))
+    net._schedule = bare = replace(auto_schedule(net), backbone=None)
+    assert auto_schedule(net) is bare
+    for _ in range(2):
+        with pytest.raises(SchedulingError, match="no path decomposition"):
+            validate_orthogonal(net, bare)
+        assert net._orthogonality is None
+    assert validate_runs == [net, net]
 
 
 def test_segmented_interference_schedule_for_four_paths():
